@@ -17,6 +17,7 @@ from .latency import (
     CurrentBlockLatency,
     DegenerateHistoryError,
     DegeneratePolicyError,
+    HistoryState,
     LatencyMetrics,
     cdf_terms,
     current_block_latency,

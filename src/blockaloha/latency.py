@@ -5,6 +5,12 @@ input of a successful block, the peak-control-latency distribution between
 controllable blocks, the current-block latency contribution under regime
 uncertainty, and the two CDF terms consumed by the access-policy cost.
 
+``BlockHistory`` holds the per-block series and is what the array formulas
+take.  ``HistoryState`` carries the same information forward as a fixed set
+of running sums, so a horizon driver can append a block and read the next
+block's gap statistics in O(1 + floor(eta_pcl)) work however long the
+history has grown.
+
 Block 0 is a virtual successful block that anchors the gap variables.  Its
 slot statistics are not pinned down by the model, so two conventions are
 supported: ``extend`` reuses the first real block's success probability
@@ -27,6 +33,7 @@ from .spatial import AccessPolicy
 
 __all__ = [
     "BlockHistory",
+    "HistoryState",
     "LatencyMetrics",
     "CurrentBlockLatency",
     "DegenerateHistoryError",
@@ -56,9 +63,16 @@ def _as_prob_seq(seq, name):
     arr = np.asarray(seq, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D sequence")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    if arr.size and not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ValueError(f"{name} entries must lie in [0, 1]")
     return arr
+
+
+def _as_prob(value, name) -> float:
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -98,6 +112,124 @@ class BlockHistory:
             self.P_O_tilde + (float(P_O_tilde),),
             self.chi_C + (float(chi_C),),
         )
+
+
+# (sum w, sum w kappa, sum w q/p, sum of suffix products) over no blocks
+_NO_GAP = (0.0, 0.0, 0.0, 0.0)
+
+
+def _push_gap(gap, p: float, T: int):
+    """Gap sums after appending a block with slot success p.
+
+    Every older gap weight picks up the new block's q^T and its gap kappa
+    grows by one; the new block enters with weight 1 - q^T at kappa = 1.
+    The suffix products follow suffix' = q^T (suffix + 1).
+    """
+    w, wk, wr, s2 = gap
+    q = 1.0 - p
+    qT = q**T
+    fresh = 1.0 - qT
+    trailing = q / p if fresh > 0.0 else 0.0  # fresh > 0 implies p > 0
+    return (qT * w + fresh, qT * (wk + w) + fresh, qT * wr + fresh * trailing, qT * (s2 + 1.0))
+
+
+@dataclass(frozen=True)
+class HistoryState:
+    """Fixed-size summary of blocks 1..n that the next block's statistics need.
+
+    Build one with ``start`` (no blocks) or ``from_history``; ``extended``
+    appends a block.  It holds, for the peak latency and peak age, the gap
+    sums over the virtual block 0 and blocks 1..n (``gap_sums``, None until
+    block 1 fixes the virtual block's p in ``extend`` mode), and, for the
+    peak control latency, the weight total, the tau-weighted total and the
+    last floor(eta_pcl) pairs (P_O_tilde, 1 - chi_C), the virtual block
+    counting as (1, 1).  Values agree with the ``BlockHistory`` formulas to
+    rounding; they are summed in another order.
+    """
+
+    T: int
+    virtual_block: str
+    eta_pcl: float
+    n: int
+    gap_sums: tuple[float, float, float, float] | None
+    pcl_total: float
+    pcl_tau_sum: float
+    pcl_tail: tuple[tuple[float, float], ...]
+
+    @classmethod
+    def start(cls, T: int, virtual_block: str, eta_pcl: float) -> "HistoryState":
+        """State before block 1."""
+        if T < 1:
+            raise ValueError(f"T must be >= 1, got {T}")
+        if virtual_block not in VIRTUAL_BLOCK_MODES:
+            raise ValueError(f"virtual_block must be one of {VIRTUAL_BLOCK_MODES}")
+        if not 0.0 <= eta_pcl < math.inf:
+            raise ValueError(f"eta_pcl must be finite and >= 0, got {eta_pcl}")
+        gap = _push_gap(_NO_GAP, 1.0, T) if virtual_block == "boundary" else None
+        tail = ((1.0, 1.0),)[: math.floor(eta_pcl)]
+        return cls(T, virtual_block, float(eta_pcl), 0, gap, 1.0, 1.0, tail)
+
+    @classmethod
+    def from_history(
+        cls, hist: BlockHistory, virtual_block: str, eta_pcl: float
+    ) -> "HistoryState":
+        """State after every block of ``hist``, folded one block at a time."""
+        state = cls.start(hist.T, virtual_block, eta_pcl)
+        for entry in zip(hist.p, hist.P_O_tilde, hist.chi_C):
+            state = state.extended(*entry)
+        return state
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _gap_before(self, p_next: float):
+        if self.gap_sums is None:  # 'extend': block 1 lends its p to block 0
+            return _push_gap(_NO_GAP, p_next, self.T)
+        return self.gap_sums
+
+    def extended(self, p: float, P_O_tilde: float, chi_C: float) -> "HistoryState":
+        """State with block n+1 appended."""
+        p = _as_prob(p, "p")
+        pt = _as_prob(P_O_tilde, "P_O_tilde")
+        g = 1.0 - _as_prob(chi_C, "chi_C")
+        keep = math.floor(self.eta_pcl)
+        return HistoryState(
+            self.T,
+            self.virtual_block,
+            self.eta_pcl,
+            self.n + 1,
+            _push_gap(self._gap_before(p), p, self.T),
+            g * self.pcl_total + pt,
+            g * (self.pcl_tau_sum + self.pcl_total) + pt,
+            (self.pcl_tail + ((pt, g),))[-keep:] if keep else (),
+        )
+
+    def peak_metrics(self, p: float) -> tuple[float, float]:
+        """(expected peak latency, expected peak age) of block n+1 with slot success p.
+
+        Equals ``expected_peak_latency`` / ``expected_paoi`` of the history
+        extended by that block; p must be > 0.
+        """
+        p = _as_prob(p, "p")
+        T = self.T
+        w, wk, wr, s2 = self._gap_before(p)
+        pk = np.float64(p)  # as in the array formulas: q^T rounding to 1 gives inf, no raise
+        x_term = _x_term(pk, 1.0 - pk, (1.0 - pk) ** T, T)
+        return float(wr + T * wk - T * s2 - T + x_term + 1.0), float(T * wk + x_term + 1.0)
+
+    def pcl_context(self) -> tuple[float, float]:
+        """(P(pcl <= eta_pcl), mean pcl) of the gap distribution at block n+1.
+
+        (0, nan) when every candidate previous controllable block has
+        probability 0.
+        """
+        if self.pcl_total <= 0.0:
+            return 0.0, math.nan
+        below, prod = 0.0, 1.0
+        for pt, g in reversed(self.pcl_tail):
+            below += pt * prod
+            prod *= g
+        return below / self.pcl_total, self.pcl_tau_sum / self.pcl_total
 
 
 @dataclass(frozen=True)

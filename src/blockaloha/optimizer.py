@@ -3,12 +3,13 @@
 Each block k scans the (delta_B, delta_S, delta_C) grid, scoring every
 candidate with J = P_O + rho1 * P(theta_curr <= eta, Z=1)
 + rho2 * P(pcl <= eta, controllable), and picks the maximizer under a
-deterministic tie-break.  The chosen block's scalar statistics are appended
-to the running history that feeds the next block's gap distribution.
+deterministic tie-break.  The chosen block's scalar statistics are folded
+into a fixed-size ``HistoryState`` that feeds the next block's gap
+distribution, so each block costs the same however long the horizon runs.
 
 The grid scan is vectorized over candidates; ``evaluate_candidate`` is the
-scalar reference path built from the public module operations, and the two
-must agree exactly.
+scalar reference path built from the public module operations and the
+array-based ``BlockHistory``, and the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .latency import (
     VIRTUAL_BLOCK_MODES,
     BlockHistory,
     DegeneratePolicyError,
+    HistoryState,
     cdf_terms,
     current_block_latency,
     expected_paoi,
@@ -137,10 +139,6 @@ class PolicyTrace:
         )
 
 
-def _empty_history(T: int) -> BlockHistory:
-    return BlockHistory(T, (), (), ())
-
-
 def _ex_term(p: np.ndarray, T: int) -> np.ndarray:
     """Vectorized q/p - T q^T / (1 - q^T), zero where p is 0 (weight is 0 there)."""
     p = np.asarray(p, dtype=float)
@@ -170,7 +168,7 @@ def _pcl_context(hist: BlockHistory, eta_pcl: float):
     return cdf, mean
 
 
-def _evaluate_grid(k, P_O_prev, hist, params, shape, config, dB, dS, dC):
+def _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC):
     """Vectorized per-block evaluation pipeline over candidate arrays."""
     T = shape.T
     pre = 1.0 - P_O_prev
@@ -208,7 +206,7 @@ def _evaluate_grid(k, P_O_prev, hist, params, shape, config, dB, dS, dC):
             worse = n_valid - np.searchsorted(order, vals, side="right")
             cdf_curr[valid] = worse / n_valid * pz[valid]
 
-    cdf_pcl_cond, pcl_mean = _pcl_context(hist, config.eta_pcl)
+    cdf_pcl_cond, pcl_mean = state.pcl_context()
     cdf_pcl = cdf_pcl_cond * P_tilde
     cost = P_O + config.rho1 * cdf_curr + config.rho2 * cdf_pcl
     p_scalar = _history_scalar(config.history_scalar, m, slot_p, pz, d_eff, rho)
@@ -228,12 +226,14 @@ def _evaluate_grid(k, P_O_prev, hist, params, shape, config, dB, dS, dC):
     }
 
 
-def _record_from_fields(k, policy, fields, idx) -> MetricsRecord:
+def _record_from_fields(k, policy, fields, idx, theta) -> MetricsRecord:
     return MetricsRecord(
         k=k,
         delta_B=float(policy[0]),
         delta_S=float(policy[1]),
         delta_C=float(policy[2]),
+        theta_pl=theta[0],
+        theta_pa=theta[1],
         **{name: float(arr[idx]) for name, arr in fields.items()},
     )
 
@@ -249,11 +249,13 @@ def evaluate_candidate(
 ) -> MetricsRecord:
     """Scalar reference evaluation of one candidate policy at block k.
 
-    Composes the public module operations step by step; a degenerate
-    candidate (no regime can transmit) yields zero CDF terms instead of an
-    error so a grid scan never aborts.  ``hist`` covers blocks 1..k-1.
+    Composes the public module operations step by step on the array-based
+    ``BlockHistory``; the grid scan and its ``HistoryState`` are tested
+    against it.  A degenerate candidate (no regime can transmit) yields zero
+    CDF terms instead of an error so a grid scan never aborts.  ``hist``
+    covers blocks 1..k-1.
     """
-    hist = hist if hist is not None else _empty_history(shape.T)
+    hist = hist if hist is not None else BlockHistory(shape.T, (), (), ())
     if len(hist) != k - 1:
         raise ValueError(f"history covers {len(hist)} blocks, expected {k - 1}")
     dens = effective_densities(params, policy, P_O_prev)
@@ -308,14 +310,9 @@ def evaluate_candidate(
         cdf_pcl=float(cdf_pcl),
         cost=float(cost),
     )
-    return _with_peak_metrics(record, hist, config)
-
-
-def _with_peak_metrics(record, hist, config) -> MetricsRecord:
-    """Fill theta_pl / theta_pa from the candidate-extended history."""
-    if record.p_scalar <= 0.0:
+    if p_scalar <= 0.0:
         return replace(record, theta_pl=math.nan, theta_pa=math.nan)
-    full = hist.extended(record.p_scalar, record.P_O_tilde, record.chi_C)
+    full = hist.extended(p_scalar, record.P_O_tilde, record.chi_C)
     return replace(
         record,
         theta_pl=expected_peak_latency(full, config.virtual_block),
@@ -326,12 +323,15 @@ def _with_peak_metrics(record, hist, config) -> MetricsRecord:
 def optimize_block(
     k: int,
     P_O_prev: float,
-    hist: BlockHistory | None,
+    state: HistoryState | None,
     params: NetworkParams,
     shape: BlockShape,
     config: OptimizerConfig,
 ) -> tuple[AccessPolicy, MetricsRecord]:
     """Exhaustive grid scan at block k with a deterministic tie-break.
+
+    ``state`` covers blocks 1..k-1 (None for k=1) and must have been built
+    for ``shape.T``, ``config.virtual_block`` and ``config.eta_pcl``.
 
     Candidates within 1e-12 of the maximum cost are ties; among them the
     smallest delta_B, then the largest delta_S, then the smallest delta_C
@@ -340,20 +340,26 @@ def optimize_block(
     delta_S, so the slot-access side of the flat ridge is kept to preserve
     the post-transition policy.)
     """
-    hist = hist if hist is not None else _empty_history(shape.T)
-    if len(hist) != k - 1:
-        raise ValueError(f"history covers {len(hist)} blocks, expected {k - 1}")
+    if state is None:
+        state = HistoryState.start(shape.T, config.virtual_block, config.eta_pcl)
+    if len(state) != k - 1:
+        raise ValueError(f"history covers {len(state)} blocks, expected {k - 1}")
+    if (state.T, state.virtual_block, state.eta_pcl) != (
+        shape.T, config.virtual_block, config.eta_pcl
+    ):
+        raise ValueError("history state was built for another T, virtual_block or eta_pcl")
     vals = config.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
-    fields = _evaluate_grid(k, P_O_prev, hist, params, shape, config, dB, dS, dC)
+    fields = _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC)
     cost = fields["cost"]
     ties = np.flatnonzero(cost >= cost.max() - _TIE_TOL)
     order = np.lexsort((dC[ties], -dS[ties], dB[ties]))
     best = int(ties[order[0]])
     policy = AccessPolicy(float(dB[best]), float(dS[best]), float(dC[best]))
-    record = _record_from_fields(k, policy.as_tuple(), fields, best)
-    return policy, _with_peak_metrics(record, hist, config)
+    p_scalar = float(fields["p_scalar"][best])
+    theta = state.peak_metrics(p_scalar) if p_scalar > 0.0 else (math.nan, math.nan)
+    return policy, _record_from_fields(k, policy.as_tuple(), fields, best, theta)
 
 
 def run_horizon(
@@ -361,11 +367,11 @@ def run_horizon(
 ) -> PolicyTrace:
     """Optimize blocks 1..K, threading the controllability state and history."""
     trace = PolicyTrace(params=params, shape=shape, config=config)
-    hist = _empty_history(shape.T)
+    state = HistoryState.start(shape.T, config.virtual_block, config.eta_pcl)
     P_O = 0.0
     for k in range(1, config.K + 1):
-        policy, record = optimize_block(k, P_O, hist, params, shape, config)
+        policy, record = optimize_block(k, P_O, state, params, shape, config)
         trace.records.append(record)
-        hist = hist.extended(record.p_scalar, record.P_O_tilde, record.chi_C)
+        state = state.extended(record.p_scalar, record.P_O_tilde, record.chi_C)
         P_O = record.P_O
     return trace

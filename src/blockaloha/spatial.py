@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "NetworkParams",
@@ -120,6 +119,8 @@ def interference_integral(params: NetworkParams, backend: str = "closed") -> flo
     if backend == "closed":
         unit = (math.pi / a) / math.sin(2.0 * math.pi / a)
     elif backend == "quadrature":
+        from scipy import integrate  # heavy import, needed by this backend only
+
         U = _QUAD_CUTOFF
         val, _ = integrate.quad(
             lambda u: u / (1.0 + u**a), 0.0, U, epsabs=1e-14, epsrel=1e-13, limit=400

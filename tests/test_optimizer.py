@@ -8,6 +8,7 @@ from blockaloha import (
     AccessPolicy,
     BlockHistory,
     BlockShape,
+    HistoryState,
     MetricsRecord,
     NetworkParams,
     OptimizerConfig,
@@ -24,6 +25,10 @@ def config(**over):
     kw = dict(K=4, grid_step=0.25)
     kw.update(over)
     return OptimizerConfig(**kw)
+
+
+def state_of(hist, cfg):
+    return HistoryState.from_history(hist, cfg.virtual_block, cfg.eta_pcl)
 
 
 def test_config_validation():
@@ -95,7 +100,7 @@ def test_optimize_block_against_exhaustive_recomputation():
     cfg = config(grid_step=0.5)  # 27 candidates
     hist = BlockHistory(SHAPE.T, (0.8,), (0.6,), (0.5,))
     P_prev = 0.6
-    policy, record = optimize_block(2, P_prev, hist, PARAMS, SHAPE, cfg)
+    policy, record = optimize_block(2, P_prev, state_of(hist, cfg), PARAMS, SHAPE, cfg)
 
     # independent exhaustive recomputation with the documented tie-break:
     # max cost, then smallest delta_B, largest delta_S, smallest delta_C
@@ -129,7 +134,7 @@ def test_vectorized_matches_scalar_on_random_candidates():
     hist = BlockHistory(SHAPE.T, (0.9, 0.85), (0.5, 0.6), (0.4, 0.45))
     P_prev = 0.55
     dB, dS, dC = rng.random(100), rng.random(100), rng.random(100)
-    fields = _evaluate_grid(3, P_prev, hist, PARAMS, SHAPE, cfg, dB, dS, dC)
+    fields = _evaluate_grid(3, P_prev, state_of(hist, cfg), PARAMS, SHAPE, cfg, dB, dS, dC)
     for i in rng.choice(100, size=25, replace=False):
         rec = evaluate_candidate(
             3, AccessPolicy(dB[i], dS[i], dC[i]), P_prev, hist, PARAMS, SHAPE, cfg
@@ -146,7 +151,7 @@ def test_vectorized_matches_scalar_on_random_candidates():
 def test_chosen_cost_dominates_grid():
     cfg = config(grid_step=0.25)
     hist = BlockHistory(SHAPE.T, (0.8,), (0.6,), (0.5,))
-    policy, record = optimize_block(2, 0.5, hist, PARAMS, SHAPE, cfg)
+    policy, record = optimize_block(2, 0.5, state_of(hist, cfg), PARAMS, SHAPE, cfg)
     rng = np.random.default_rng(4)
     vals = cfg.grid_values
     for _ in range(100):
@@ -197,7 +202,7 @@ def test_grid_rank_mode_runs_and_orders():
 
     vals = cfg.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
-    empty = BlockHistory(SHAPE.T, (), (), ())
+    empty = HistoryState.start(SHAPE.T, cfg.virtual_block, cfg.eta_pcl)
     fields = _evaluate_grid(1, 0.0, empty, PARAMS, SHAPE, cfg,
                             B.ravel(), S.ravel(), C.ravel())
     theta = fields["theta_curr"]

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import blockaloha
 
 from blockaloha import (
     AccessPolicy,
@@ -82,6 +88,32 @@ def test_backends_agree(alpha):
         a = slot_success_prob(p, lam_eff)
         b = slot_success_prob(p, lam_eff, backend="quadrature")
         assert abs(a - b) / a <= 1e-9
+
+
+_LAZY_IMPORT_CHECK = """
+import sys
+import blockaloha.cli
+from blockaloha import NetworkParams, interference_integral
+assert "scipy.integrate" not in sys.modules, "scipy.integrate imported eagerly"
+p = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
+closed = interference_integral(p)
+quad = interference_integral(p, backend="quadrature")
+assert abs(quad - closed) <= 1e-9 * closed, (quad, closed)
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_scipy_integrate_imported_only_by_quadrature_backend():
+    src = str(Path(blockaloha.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_CHECK],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_interference_free_limit():
