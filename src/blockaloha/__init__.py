@@ -63,7 +63,6 @@ from .spatial import (
     effective_densities,
     interference_integral,
     parse_power_watts,
-    sample_sinr_success,
     slot_success_prob,
 )
 

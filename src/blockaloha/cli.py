@@ -594,6 +594,8 @@ def main(argv=None) -> int:
         if args.command == "optimize":
             return cmd_optimize(cfg)
         if args.command == "validate":
+            if args.workers < 1:
+                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
             return cmd_validate(
                 cfg,
                 scale=args.episodes_scale,

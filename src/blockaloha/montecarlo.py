@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _DEFAULT_BATCH = 50_000
+# Interferers per fading draw in the spatial tier (one 512 KiB buffer).
+_FADING_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ def _resolve_streams(seed, episodes: int, batch_size: int):
 
 def _run_batches(seed, episodes, batch_size, workers, batch_fn):
     """Map batch_fn(rng, n) over the fixed plan, merging stats in batch order."""
+    if batch_size < 1 or workers < 1:
+        raise ValueError(f"batch_size and workers must be >= 1, got {batch_size}, {workers}")
     plan = _resolve_streams(seed, episodes, batch_size)
     jobs = [(episode_rng(seed, i), n) for i, n in plan]
     if workers > 1 and len(jobs) > 1:
@@ -209,6 +213,53 @@ def simulate_bernoulli(
     return report
 
 
+def _faded_sums(rng, path_loss: np.ndarray, counts: np.ndarray, out: np.ndarray):
+    """Per-cell sums of path loss times fresh unit-mean exponential fading.
+
+    The fading is drawn chunk by chunk, which consumes the stream exactly
+    as one ``rng.exponential(size=path_loss.size)`` call; the products go
+    to ``out`` (may be ``path_loss``) and cell c sums the next counts[c].
+    """
+    fading = np.empty(min(_FADING_CHUNK, path_loss.size))
+    for lo in range(0, path_loss.size, _FADING_CHUNK):
+        chunk = fading[: path_loss.size - lo]
+        rng.standard_exponential(out=chunk)
+        np.multiply(path_loss[lo : lo + chunk.size], chunk, out=out[lo : lo + chunk.size])
+    sums = np.zeros(counts.size)
+    if out.size:
+        nonempty = counts > 0
+        sums[nonempty] = np.add.reduceat(out, (np.cumsum(counts) - counts)[nonempty])
+    return sums
+
+
+def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
+    """Slot successes and interference, both of shape (n, T), of one batch.
+
+    Draws: interferer counts per cell (a slot, or a frozen episode), their
+    uniforms u, then per slot the interferer and the signal fading.  At
+    r = R sqrt(u) the path loss is xi R^-alpha u^(-alpha/2), so the
+    uniforms become the only per-interferer array (plus one product buffer
+    per episode) and the constant scales the per-slot sums.
+    """
+    per_episode = geometry == "per-episode"
+    counts = rng.poisson(mean_pts, size=n if per_episode else n * T)
+    path_loss = rng.random(int(counts.sum()))
+    np.power(path_loss, -0.5 * params.alpha, out=path_loss)
+    if per_episode:
+        faded = np.empty_like(path_loss)
+        interference = np.empty((n, T))
+        signal = np.empty((n, T))
+        for t in range(T):
+            interference[:, t] = _faded_sums(rng, path_loss, counts, faded)
+            signal[:, t] = rng.exponential(size=n)
+    else:
+        interference = _faded_sums(rng, path_loss, counts, path_loss).reshape(n, T)
+        signal = rng.exponential(size=n * T).reshape(n, T)
+    interference *= params.xi * disk_radius ** (-params.alpha)
+    signal *= params.xi * params.r0 ** (-params.alpha)
+    return signal > params.gamma * (params.N0 + interference), interference
+
+
 def simulate_spatial(
     params: NetworkParams,
     policy: AccessPolicy,
@@ -242,37 +293,13 @@ def simulate_spatial(
     lam_eff = dens.lambda_eff
     if disk_radius is None:
         disk_radius = default_disk_radius(lam_eff)
+    elif not 0.0 < disk_radius < math.inf:
+        raise ValueError(f"disk_radius must be finite and > 0, got {disk_radius}")
     T, v = shape.T, shape.v
-    signal_scale = params.xi * params.r0 ** (-params.alpha)
     mean_pts = lam_eff * math.pi * disk_radius**2
 
     def batch(rng, n):
-        if geometry == "per-episode":
-            counts = rng.poisson(mean_pts, size=n)
-            owner = np.repeat(np.arange(n), counts)
-            radii = disk_radius * np.sqrt(rng.random(int(counts.sum())))
-            attenuation = params.xi * radii ** (-params.alpha)
-            slot_success = np.empty((n, T), dtype=bool)
-            for t in range(T):
-                fading = rng.exponential(size=attenuation.size)
-                interference = np.bincount(
-                    owner, weights=attenuation * fading, minlength=n
-                )
-                signal = signal_scale * rng.exponential(size=n)
-                slot_success[:, t] = signal > params.gamma * (params.N0 + interference)
-        else:
-            # independent field per slot: n*T single-slot cells
-            counts = rng.poisson(mean_pts, size=n * T)
-            owner = np.repeat(np.arange(n * T), counts)
-            radii = disk_radius * np.sqrt(rng.random(int(counts.sum())))
-            power = params.xi * radii ** (-params.alpha) * rng.exponential(
-                size=radii.size
-            )
-            interference = np.bincount(owner, weights=power, minlength=n * T)
-            signal = signal_scale * rng.exponential(size=n * T)
-            slot_success = (
-                signal > params.gamma * (params.N0 + interference)
-            ).reshape(n, T)
+        slot_success, _ = _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry)
         return {
             "slot_cnt": float(slot_success.sum()),
             "run_cnt": float(_has_run(slot_success, v).sum()),

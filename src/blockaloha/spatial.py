@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "NetworkParams",
     "AccessPolicy",
@@ -22,7 +20,6 @@ __all__ = [
     "effective_densities",
     "interference_integral",
     "slot_success_prob",
-    "sample_sinr_success",
     "default_disk_radius",
     "parse_power_watts",
 ]
@@ -156,31 +153,6 @@ def default_disk_radius(lambda_eff: float, bias_target: float = 0.01) -> float:
     if lambda_eff <= 0.0:
         return 5000.0
     return min(5000.0, 10.0 / math.sqrt(math.pi * lambda_eff * bias_target))
-
-
-def sample_sinr_success(
-    params: NetworkParams,
-    lambda_eff: float,
-    rng: np.random.Generator,
-    disk_radius: float | None = None,
-) -> bool:
-    """Draw one PPP + fading realization and test SINR > gamma at the origin.
-
-    Interferers are placed on a disk of ``disk_radius`` (default per
-    ``default_disk_radius``); every link carries unit-mean exponential power
-    fading (Rayleigh amplitude).  The typical transmitter sits at distance
-    r0 from its actuator at the origin.
-    """
-    if disk_radius is None:
-        disk_radius = default_disk_radius(lambda_eff)
-    n = rng.poisson(lambda_eff * math.pi * disk_radius**2)
-    signal = params.xi * rng.exponential() * params.r0 ** (-params.alpha)
-    interference = 0.0
-    if n > 0:
-        radii = disk_radius * np.sqrt(rng.random(n))
-        fading = rng.exponential(size=n)
-        interference = float(np.sum(params.xi * fading * radii ** (-params.alpha)))
-    return signal > params.gamma * (params.N0 + interference)
 
 
 def parse_power_watts(text: str | float) -> float:

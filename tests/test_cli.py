@@ -49,6 +49,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_error_exit_code(tmp_path):
     assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "alpha=1.5") == 2
     assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "bogus=1") == 2
+    assert run_cli("validate", "--outdir", str(tmp_path), "--workers", "0") == 2
 
 
 def test_parse_config_rejects_garbage(tmp_path):

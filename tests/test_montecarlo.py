@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from blockaloha import (
     simulate_spatial,
     slot_success_prob,
 )
+from blockaloha.montecarlo import _spatial_slots
+from oracles import spatial_reference
 
 PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
 
@@ -202,6 +205,88 @@ def test_spatial_zero_interference():
     p = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-30, r0=25.0)
     rep = simulate_spatial(p, AccessPolicy(0.0, 0.0, 0.0), shape, 2_000, seed=22)
     assert rep["slot_rate"].value == 1.0
+
+
+# (alpha, lam, disk_radius, episodes, batch_size): the 3e-7 density leaves
+# most cells and whole batches without interferers; 700 is not a multiple
+# of 300, nor 500 of 16
+SPATIAL_CASES = [
+    (2.5, 1e-4, 600.0, 700, 300),
+    (3.0, 1e-4, 600.0, 700, 300),
+    (4.0, 1e-4, 600.0, 700, 300),
+    (3.0, 3e-7, 100.0, 500, 16),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("geometry", ["per-slot", "per-episode"])
+@pytest.mark.parametrize("alpha,lam,radius,episodes,batch", SPATIAL_CASES)
+def test_spatial_matches_reference_sampler(alpha, lam, radius, episodes, batch, geometry,
+                                           workers):
+    # same draws as the repeat + bincount sampler: identical counts, and
+    # interference equal up to the order of summation
+    p = NetworkParams(lam=lam, alpha=alpha, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
+    shape = BlockShape(5, 2)
+    seed = 37
+    counts, batches = spatial_reference(
+        p, lam, shape.T, shape.v, episodes, seed, radius, geometry, batch
+    )
+    rep = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), shape, episodes, seed,
+                           disk_radius=radius, geometry=geometry, workers=workers,
+                           batch_size=batch)
+    n = counts["n"]
+    assert rep["slot_rate"].n == n * shape.T and rep["run_freq"].n == n
+    assert rep["slot_rate"].value == counts["slot_cnt"] / (n * shape.T)
+    assert rep["run_freq"].value == counts["run_cnt"] / n
+    assert rep["block_success"].value == counts["z_cnt"] / n
+    mean_pts = lam * math.pi * radius**2
+    empty_batches = empty_cells = 0
+    for i, size, ref in batches:
+        ok, interference = _spatial_slots(
+            episode_rng(seed, i), size, shape.T, mean_pts, radius, p, geometry
+        )
+        assert ok.shape == interference.shape == ref.shape == (size, shape.T)
+        np.testing.assert_allclose(interference, ref, rtol=1e-12, atol=0.0)
+        empty_batches += not ref.any()
+        empty_cells += int((ref == 0.0).sum())
+    if lam < 1e-6:
+        assert 0 < empty_batches < len(batches)
+    else:
+        assert empty_cells == 0
+
+
+def test_spatial_per_slot_peak_memory_is_one_float_per_interferer():
+    # one batch of 400 episodes at R=1500 m: ~1.4M interferers, 11 MB of float64
+    shape = BlockShape(5, 2)
+    n, radius, seed = 400, 1500.0, 31
+    mean_pts = PARAMS.lam * math.pi * radius**2
+    interferers = int(episode_rng(seed, 0).poisson(mean_pts, size=n * shape.T).sum())
+    tracemalloc.start()
+    try:
+        simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), shape, n, seed,
+                         disk_radius=radius, batch_size=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * interferers, (peak, interferers)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(disk_radius=-1500.0),
+        dict(disk_radius=0.0),
+        dict(disk_radius=math.inf),
+        dict(disk_radius=math.nan),
+        dict(batch_size=0),
+        dict(batch_size=-5),
+        dict(workers=0),
+    ],
+)
+def test_spatial_rejects_bad_arguments(bad):
+    with pytest.raises(ValueError):
+        simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), BlockShape(3, 1), 10, seed=1,
+                         **bad)
 
 
 def test_bernoulli_reproduces_spatial_block_statistics():

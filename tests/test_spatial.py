@@ -17,9 +17,9 @@ from blockaloha import (
     episode_rng,
     interference_integral,
     parse_power_watts,
-    sample_sinr_success,
     slot_success_prob,
 )
+from oracles import sample_sinr_success
 
 DEFAULTS = dict(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
 
