@@ -6,25 +6,14 @@ per-block access-probability optimizer, and Monte Carlo simulators that
 validate every formula.
 """
 
-from .controllability import (
-    ControllabilityState,
-    advance_state,
-    first_time_controllability,
-    instantaneous_controllability,
-)
+from .controllability import first_time_controllability
 from .latency import (
     BlockHistory,
-    CurrentBlockLatency,
     DegenerateHistoryError,
-    DegeneratePolicyError,
     HistoryState,
-    LatencyMetrics,
-    cdf_terms,
-    current_block_latency,
     expected_paoi,
     expected_pcl,
     expected_peak_latency,
-    latency_metrics,
     pcl_pmf,
 )
 from .montecarlo import (
@@ -40,7 +29,6 @@ from .optimizer import (
     MetricsRecord,
     OptimizerConfig,
     PolicyTrace,
-    evaluate_candidate,
     optimize_block,
     run_horizon,
 )
@@ -54,7 +42,7 @@ from .plant import (
     estimate_state,
     run_block,
 )
-from .runlength import BlockShape, chi, chi_bruteforce, truncated_geometric_mean
+from .runlength import BlockShape, chi, chi_bruteforce
 from .spatial import (
     AccessPolicy,
     NetworkParams,

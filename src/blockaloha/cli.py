@@ -376,9 +376,12 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
             bern = simulate_bernoulli(
                 (analytic,), shape, spatial_episodes, seed + 7, workers=workers
             )
-            diff = rep["run_freq"].value - bern["run_freq_b1"].value
-            se = math.hypot(rep["run_freq"].stderr, bern["run_freq_b1"].stderr)
-            z = diff / se if se else math.inf
+            diff = Estimate(
+                rep["run_freq"].value - bern["run_freq_b1"].value,
+                math.hypot(rep["run_freq"].stderr, bern["run_freq_b1"].stderr),
+                spatial_episodes,
+            )
+            z = diff.z_against(0.0)
             rows.append(
                 _Row("spatial_vs_bernoulli_run_freq", bern["run_freq_b1"].value,
                      rep["run_freq"].value, z, "|z| < 3", abs(z) < 3.0)
@@ -596,6 +599,10 @@ def main(argv=None) -> int:
         if args.command == "validate":
             if args.workers < 1:
                 raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+            if not 0.0 < args.episodes_scale < math.inf:
+                raise ConfigError(
+                    f"--episodes-scale must be finite and > 0, got {args.episodes_scale}"
+                )
             return cmd_validate(
                 cfg,
                 scale=args.episodes_scale,

@@ -1,36 +1,19 @@
-"""Block-controllability recursions.
+"""First-time block controllability of the typical controller.
 
-Mean-field evolution of the typical controller: the first-time
-controllability probability mixes block access and slot access, the
-cumulative state probability absorbs at 1, and the instantaneous per-block
-probability adds the post-controllability population.
+The first-time probability mixes block access and slot access.  The
+cumulative probability (absorbing at 1) and the instantaneous per-block
+probability, which adds the post-controllability population, are applied
+over candidate arrays in the optimizer's grid scan.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .runlength import BlockShape, chi
 from .spatial import AccessPolicy
 
-__all__ = [
-    "ControllabilityState",
-    "first_time_controllability",
-    "advance_state",
-    "instantaneous_controllability",
-]
-
-
-@dataclass(frozen=True)
-class ControllabilityState:
-    """Per-block controllability probabilities (cumulative, instantaneous, first-time)."""
-
-    k: int
-    P_O: float
-    P_O_tilde: float
-    pi: float
+__all__ = ["first_time_controllability"]
 
 
 def first_time_controllability(shape: BlockShape, policy: AccessPolicy, rho_k):
@@ -41,27 +24,4 @@ def first_time_controllability(shape: BlockShape, policy: AccessPolicy, rho_k):
     """
     return policy.delta_B * chi(shape, rho_k) + (1.0 - policy.delta_B) * chi(
         shape, policy.delta_S * np.asarray(rho_k, dtype=float)
-    )
-
-
-def advance_state(prev, pi_k: float) -> float:
-    """Cumulative controllability update P_O_k = P_O_prev + (1 - P_O_prev) pi_k.
-
-    ``prev`` may be a prior probability, a ControllabilityState, or None
-    (start of the horizon, returning pi_1).
-    """
-    if not 0.0 <= pi_k <= 1.0:
-        raise ValueError(f"pi_k must lie in [0, 1], got {pi_k}")
-    if prev is None:
-        return pi_k
-    p_prev = prev.P_O if isinstance(prev, ControllabilityState) else float(prev)
-    return p_prev + (1.0 - p_prev) * pi_k
-
-
-def instantaneous_controllability(
-    P_O_prev: float, pi_k: float, shape: BlockShape, delta_C: float, rho_k: float
-):
-    """P(block k itself is controllable), mixing the pre and post populations."""
-    return (1.0 - P_O_prev) * pi_k + P_O_prev * chi(
-        shape, delta_C * np.asarray(rho_k, dtype=float)
     )

@@ -2,8 +2,8 @@
 
 Implements the closed-form expected peak latency and peak age of the first
 input of a successful block, the peak-control-latency distribution between
-controllable blocks, the current-block latency contribution under regime
-uncertainty, and the two CDF terms consumed by the access-policy cost.
+controllable blocks, and the truncated-geometric term ``_ex_term`` that the
+peak formulas and the optimizer's current-block latency share.
 
 ``BlockHistory`` holds the per-block series and is what the array formulas
 take.  ``HistoryState`` carries the same information forward as a fixed set
@@ -27,25 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import first_time_controllability, instantaneous_controllability
-from .runlength import BlockShape, truncated_geometric_mean
-from .spatial import AccessPolicy
-
 __all__ = [
     "BlockHistory",
     "HistoryState",
-    "LatencyMetrics",
-    "CurrentBlockLatency",
     "DegenerateHistoryError",
-    "DegeneratePolicyError",
     "VIRTUAL_BLOCK_MODES",
     "expected_peak_latency",
     "expected_paoi",
     "pcl_pmf",
     "expected_pcl",
-    "current_block_latency",
-    "cdf_terms",
-    "latency_metrics",
 ]
 
 VIRTUAL_BLOCK_MODES = ("extend", "boundary")
@@ -53,10 +43,6 @@ VIRTUAL_BLOCK_MODES = ("extend", "boundary")
 
 class DegenerateHistoryError(ValueError):
     """Raised when every candidate previous controllable block has probability 0."""
-
-
-class DegeneratePolicyError(ValueError):
-    """Raised when no access regime can produce a successful transmission."""
 
 
 def _as_prob_seq(seq, name):
@@ -137,13 +123,13 @@ def _push_gap(gap, p: float, T: int):
 class HistoryState:
     """Fixed-size summary of blocks 1..n that the next block's statistics need.
 
-    Build one with ``start`` (no blocks) or ``from_history``; ``extended``
-    appends a block.  It holds, for the peak latency and peak age, the gap
-    sums over the virtual block 0 and blocks 1..n (``gap_sums``, None until
-    block 1 fixes the virtual block's p in ``extend`` mode), and, for the
-    peak control latency, the weight total, the tau-weighted total and the
-    last floor(eta_pcl) pairs (P_O_tilde, 1 - chi_C), the virtual block
-    counting as (1, 1).  Values agree with the ``BlockHistory`` formulas to
+    Build one with ``start`` (no blocks); ``extended`` appends a block.  It
+    holds, for the peak latency and peak age, the gap sums over the virtual
+    block 0 and blocks 1..n (``gap_sums``, None until block 1 fixes the
+    virtual block's p in ``extend`` mode), and, for the peak control
+    latency, the weight total, the tau-weighted total and the last
+    floor(eta_pcl) pairs (P_O_tilde, 1 - chi_C), the virtual block counting
+    as (1, 1).  Values agree with the ``BlockHistory`` formulas to
     rounding; they are summed in another order.
     """
 
@@ -168,16 +154,6 @@ class HistoryState:
         gap = _push_gap(_NO_GAP, 1.0, T) if virtual_block == "boundary" else None
         tail = ((1.0, 1.0),)[: math.floor(eta_pcl)]
         return cls(T, virtual_block, float(eta_pcl), 0, gap, 1.0, 1.0, tail)
-
-    @classmethod
-    def from_history(
-        cls, hist: BlockHistory, virtual_block: str, eta_pcl: float
-    ) -> "HistoryState":
-        """State after every block of ``hist``, folded one block at a time."""
-        state = cls.start(hist.T, virtual_block, eta_pcl)
-        for entry in zip(hist.p, hist.P_O_tilde, hist.chi_C):
-            state = state.extended(*entry)
-        return state
 
     def __len__(self) -> int:
         return self.n
@@ -211,10 +187,11 @@ class HistoryState:
         extended by that block; p must be > 0.
         """
         p = _as_prob(p, "p")
+        if p <= 0.0:
+            raise ValueError("current block must have p_k > 0")
         T = self.T
         w, wk, wr, s2 = self._gap_before(p)
-        pk = np.float64(p)  # as in the array formulas: q^T rounding to 1 gives inf, no raise
-        x_term = _x_term(pk, 1.0 - pk, (1.0 - pk) ** T, T)
+        x_term = float(_ex_term(p, T))
         return float(wr + T * wk - T * s2 - T + x_term + 1.0), float(T * wk + x_term + 1.0)
 
     def pcl_context(self) -> tuple[float, float]:
@@ -232,35 +209,18 @@ class HistoryState:
         return below / self.pcl_total, self.pcl_tau_sum / self.pcl_total
 
 
-@dataclass(frozen=True)
-class LatencyMetrics:
-    """Bundle of the per-block latency outputs.
-
-    theta_pl and theta_pa are in slots, theta_pcl_mean in blocks; the pmf
-    covers gaps tau = 1..k.
-    """
-
-    theta_pl: float
-    theta_pa: float
-    theta_pcl_pmf: np.ndarray
-    theta_pcl_mean: float
-    theta_curr: float
-
-
-@dataclass(frozen=True)
-class CurrentBlockLatency:
-    """Regime-averaged current-block latency term and its success normalizer."""
-
-    expected_slots: float
-    block_success_prob: float  # P(Z(k) = 1): sum of regime fraction * (1 - q^T)
-
-
 def _padded_q_powers(hist: BlockHistory, virtual_block: str):
-    """(p, q, q^T) arrays indexed 0..k with the virtual block 0 prepended."""
+    """(p, q, q^T) arrays indexed 0..k with the virtual block 0 prepended.
+
+    The current block k must have p_k > 0: the peak formulas condition on
+    its success.
+    """
     if virtual_block not in VIRTUAL_BLOCK_MODES:
         raise ValueError(f"virtual_block must be one of {VIRTUAL_BLOCK_MODES}")
     if len(hist) == 0:
         raise ValueError("history must cover at least one block")
+    if hist.p[-1] <= 0.0:
+        raise ValueError("current block must have p_k > 0")
     p0 = hist.p[0] if virtual_block == "extend" else 1.0
     p = np.concatenate(([p0], hist.p))
     q = 1.0 - p
@@ -286,10 +246,19 @@ def _gap_weights(qT: np.ndarray, k: int) -> np.ndarray:
     return (1.0 - qT[:k]) * suffix[1 : k + 1]
 
 
-def _x_term(p_k: float, q_k: float, qT_k: float, T: int) -> float:
-    if p_k <= 0.0:
-        raise ValueError("current block must have p_k > 0")
-    return q_k / p_k - T * qT_k / (1.0 - qT_k)
+def _ex_term(p, T: int) -> np.ndarray:
+    """Elementwise q/p - T q^T / (1 - q^T) with q = 1 - p; 0 where p is 0.
+
+    For p > 0 this is the mean number of leading failure slots of a T-slot
+    block given at least one success, and by symmetry the mean trailing
+    failure run after its last success.  A block with p = 0 never succeeds,
+    so its term carries zero weight; it is evaluated at p = 1, where the
+    expression is exactly 0.
+    """
+    safe = np.where(np.asarray(p, dtype=float) > 0.0, p, 1.0)
+    q = 1.0 - safe
+    qT = q**T
+    return q / safe - T * qT / (1.0 - qT)
 
 
 def expected_peak_latency(hist: BlockHistory, virtual_block: str = "extend") -> float:
@@ -302,7 +271,7 @@ def expected_peak_latency(hist: BlockHistory, virtual_block: str = "extend") -> 
     T = hist.T
     k = len(hist)
     p, q, qT = _padded_q_powers(hist, virtual_block)
-    x_term = _x_term(p[k], q[k], qT[k], T)
+    x_term = float(_ex_term(p[k], T))
     w = _gap_weights(qT, k)
     kappa = np.arange(k, 0, -1)  # kappa for m = k - kappa = 0..k-1
     # q_m / p_m only matters where the gap weight is nonzero (p_m > 0 there)
@@ -320,8 +289,8 @@ def expected_paoi(hist: BlockHistory, virtual_block: str = "extend") -> float:
     """
     T = hist.T
     k = len(hist)
-    p, q, qT = _padded_q_powers(hist, virtual_block)
-    x_term = _x_term(p[k], q[k], qT[k], T)
+    p, _, qT = _padded_q_powers(hist, virtual_block)
+    x_term = float(_ex_term(p[k], T))
     w = _gap_weights(qT, k)
     kappa = np.arange(k, 0, -1)
     return T * float(np.sum(kappa * w)) + x_term + 1.0
@@ -365,104 +334,3 @@ def expected_pcl(hist: BlockHistory) -> float:
     """Expected number of blocks back to the previous controllable block."""
     pmf = pcl_pmf(hist)
     return float(np.sum(np.arange(1, pmf.size + 1) * pmf))
-
-
-def _regime_table(policy: AccessPolicy, rho_k: float, P_O_prev: float):
-    """Per-regime (fraction, slot success) pairs for (block, pre-slot, post-slot)."""
-    pre = 1.0 - P_O_prev
-    fractions = np.array(
-        [
-            pre * policy.delta_B,
-            pre * (1.0 - policy.delta_B) * policy.delta_S,
-            P_O_prev * policy.delta_C,
-        ]
-    )
-    slot_p = np.array([rho_k, policy.delta_S * rho_k, policy.delta_C * rho_k])
-    return fractions, slot_p
-
-
-def current_block_latency(
-    shape: BlockShape, policy: AccessPolicy, rho_k: float, P_O_prev: float
-) -> CurrentBlockLatency:
-    """Expected leading-failure run of the current block under regime uncertainty.
-
-    Mixes the per-regime truncated-geometric means with posterior regime
-    weights proportional to fraction * (1 - q^T); also reports the
-    normalizer, the block success probability P(Z(k)=1).
-    """
-    if not 0.0 <= rho_k <= 1.0:
-        raise ValueError(f"rho_k must lie in [0, 1], got {rho_k}")
-    if not 0.0 <= P_O_prev <= 1.0:
-        raise ValueError(f"P_O_prev must lie in [0, 1], got {P_O_prev}")
-    fractions, slot_p = _regime_table(policy, rho_k, P_O_prev)
-    success = np.where(slot_p > 0.0, 1.0 - (1.0 - slot_p) ** shape.T, 0.0)
-    mass = fractions * success
-    total = float(mass.sum())
-    if total <= 0.0:
-        raise DegeneratePolicyError(
-            "no regime can transmit successfully under this policy"
-        )
-    value = 0.0
-    for m, p in zip(mass, slot_p):
-        if m > 0.0:
-            value += m * truncated_geometric_mean(float(p), shape.T)
-    return CurrentBlockLatency(expected_slots=value / total, block_success_prob=total)
-
-
-def cdf_terms(
-    shape: BlockShape,
-    policy: AccessPolicy,
-    rho_k: float,
-    P_O_prev: float,
-    hist: BlockHistory | None,
-    eta_curr: float,
-    eta_pcl: float,
-) -> tuple[float, float]:
-    """Joint CDF terms of the cost at thresholds (eta_curr slots, eta_pcl blocks).
-
-    ``hist`` covers blocks 1..k-1 before the one being evaluated (None for
-    k=1).  The current-block term uses the deterministic-indicator form
-    1{theta_curr <= eta} * P(Z(k)=1); the control-latency term is the exact
-    gap CDF times the instantaneous controllability probability.
-    """
-    if eta_curr < 0.0 or eta_pcl < 0.0:
-        raise ValueError("thresholds must be >= 0")
-    pi_k = first_time_controllability(shape, policy, rho_k)
-    p_tilde_k = instantaneous_controllability(P_O_prev, pi_k, shape, policy.delta_C, rho_k)
-    try:
-        curr = current_block_latency(shape, policy, rho_k, P_O_prev)
-        p_curr = float(curr.expected_slots <= eta_curr) * curr.block_success_prob
-    except DegeneratePolicyError:
-        p_curr = 0.0
-    if hist is None:
-        past_pt, past_cc = (), ()
-    else:
-        past_pt, past_cc = hist.P_O_tilde, hist.chi_C
-    weights = _pcl_weights(past_pt, past_cc)
-    total = weights.sum()
-    if total <= 0.0:
-        cdf = 0.0
-    else:
-        n_in = min(len(weights), int(math.floor(eta_pcl)))
-        cdf = float(weights[:n_in].sum() / total)
-    return p_curr, cdf * p_tilde_k
-
-
-def latency_metrics(
-    shape: BlockShape,
-    policy: AccessPolicy,
-    rho_k: float,
-    P_O_prev: float,
-    hist: BlockHistory,
-    virtual_block: str = "extend",
-) -> LatencyMetrics:
-    """All latency outputs of the current block (``hist`` runs through it)."""
-    curr = current_block_latency(shape, policy, rho_k, P_O_prev)
-    pmf = pcl_pmf(hist)
-    return LatencyMetrics(
-        theta_pl=expected_peak_latency(hist, virtual_block),
-        theta_pa=expected_paoi(hist, virtual_block),
-        theta_pcl_pmf=pmf,
-        theta_pcl_mean=float(np.sum(np.arange(1, pmf.size + 1) * pmf)),
-        theta_curr=curr.expected_slots,
-    )

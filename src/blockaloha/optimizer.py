@@ -7,44 +7,29 @@ deterministic tie-break.  The chosen block's scalar statistics are folded
 into a fixed-size ``HistoryState`` that feeds the next block's gap
 distribution, so each block costs the same however long the horizon runs.
 
-The grid scan is vectorized over candidates; ``evaluate_candidate`` is the
-scalar reference path built from the public module operations and the
-array-based ``BlockHistory``, and the two agree to rounding.
+The grid scan is vectorized over candidates and is the only path that
+computes the per-candidate quantities; the tests hold it to a scalar
+reference of the same pipeline built on the array-based ``BlockHistory``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllability import first_time_controllability, instantaneous_controllability
-from .latency import (
-    VIRTUAL_BLOCK_MODES,
-    BlockHistory,
-    DegeneratePolicyError,
-    HistoryState,
-    cdf_terms,
-    current_block_latency,
-    expected_paoi,
-    expected_peak_latency,
-    _pcl_weights,
-)
+from .latency import VIRTUAL_BLOCK_MODES, HistoryState, _ex_term
+# Not used here: the traced benchmark run (benchmarks/run.py --trace 1) wraps
+# these names on this module.  Drop this line with the next benchmark change.
+from .latency import _pcl_weights, expected_paoi, expected_peak_latency  # noqa: F401
 from .runlength import BlockShape, chi
-from .spatial import (
-    AccessPolicy,
-    NetworkParams,
-    effective_densities,
-    interference_integral,
-    slot_success_prob,
-)
+from .spatial import AccessPolicy, NetworkParams, interference_integral
 
 __all__ = [
     "OptimizerConfig",
     "MetricsRecord",
     "PolicyTrace",
-    "evaluate_candidate",
     "optimize_block",
     "run_horizon",
 ]
@@ -122,30 +107,12 @@ class MetricsRecord:
 
 @dataclass
 class PolicyTrace:
-    """Chosen per-block records plus the threaded history of a horizon run."""
+    """Chosen per-block records of a horizon run."""
 
     params: NetworkParams
     shape: BlockShape
     config: OptimizerConfig
     records: list[MetricsRecord] = field(default_factory=list)
-
-    @property
-    def history(self) -> BlockHistory:
-        return BlockHistory(
-            self.shape.T,
-            tuple(r.p_scalar for r in self.records),
-            tuple(r.P_O_tilde for r in self.records),
-            tuple(r.chi_C for r in self.records),
-        )
-
-
-def _ex_term(p: np.ndarray, T: int) -> np.ndarray:
-    """Vectorized q/p - T q^T / (1 - q^T), zero where p is 0 (weight is 0 there)."""
-    p = np.asarray(p, dtype=float)
-    safe = np.where(p > 0.0, p, 1.0)
-    q = 1.0 - safe
-    qT = q**T
-    return np.where(p > 0.0, q / safe - T * qT / (1.0 - qT), 0.0)
 
 
 def _history_scalar(mode, m, slot_p, pz, d_eff, rho):
@@ -153,19 +120,6 @@ def _history_scalar(mode, m, slot_p, pz, d_eff, rho):
         return d_eff * rho
     post = np.where(pz > 0.0, (m * slot_p).sum(axis=0) / np.where(pz > 0.0, pz, 1.0), 0.0)
     return post
-
-
-def _pcl_context(hist: BlockHistory, eta_pcl: float):
-    """(conditional cdf at eta, mean) of the gap distribution at the next block."""
-    weights = _pcl_weights(hist.P_O_tilde, hist.chi_C)
-    total = weights.sum()
-    if total <= 0.0:
-        return 0.0, math.nan
-    pmf = weights / total
-    n_in = min(pmf.size, int(math.floor(eta_pcl)))
-    cdf = float(pmf[:n_in].sum())
-    mean = float(np.sum(np.arange(1, pmf.size + 1) * pmf))
-    return cdf, mean
 
 
 def _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC):
@@ -235,88 +189,6 @@ def _record_from_fields(k, policy, fields, idx, theta) -> MetricsRecord:
         theta_pl=theta[0],
         theta_pa=theta[1],
         **{name: float(arr[idx]) for name, arr in fields.items()},
-    )
-
-
-def evaluate_candidate(
-    k: int,
-    policy: AccessPolicy,
-    P_O_prev: float,
-    hist: BlockHistory | None,
-    params: NetworkParams,
-    shape: BlockShape,
-    config: OptimizerConfig,
-) -> MetricsRecord:
-    """Scalar reference evaluation of one candidate policy at block k.
-
-    Composes the public module operations step by step on the array-based
-    ``BlockHistory``; the grid scan and its ``HistoryState`` are tested
-    against it.  A degenerate candidate (no regime can transmit) yields zero
-    CDF terms instead of an error so a grid scan never aborts.  ``hist``
-    covers blocks 1..k-1.
-    """
-    hist = hist if hist is not None else BlockHistory(shape.T, (), (), ())
-    if len(hist) != k - 1:
-        raise ValueError(f"history covers {len(hist)} blocks, expected {k - 1}")
-    dens = effective_densities(params, policy, P_O_prev)
-    rho = slot_success_prob(params, dens.lambda_eff)
-    pi = first_time_controllability(shape, policy, rho)
-    P_O = P_O_prev + (1.0 - P_O_prev) * pi
-    P_tilde = instantaneous_controllability(P_O_prev, pi, shape, policy.delta_C, rho)
-    chi_C_k = chi(shape, policy.delta_C * rho)
-    try:
-        curr = current_block_latency(shape, policy, rho, P_O_prev)
-        theta_curr, pz = curr.expected_slots, curr.block_success_prob
-    except DegeneratePolicyError:
-        theta_curr, pz = math.nan, 0.0
-    cdf_curr, cdf_pcl = cdf_terms(
-        shape, policy, rho, P_O_prev, hist, config.eta_curr, config.eta_pcl
-    )
-    cdf_pcl_cond, pcl_mean = _pcl_context(hist, config.eta_pcl)
-    cost = P_O + config.rho1 * cdf_curr + config.rho2 * cdf_pcl
-
-    if pz > 0.0:
-        fractions = np.array(
-            [
-                (1.0 - P_O_prev) * policy.delta_B,
-                (1.0 - P_O_prev) * (1.0 - policy.delta_B) * policy.delta_S,
-                P_O_prev * policy.delta_C,
-            ]
-        )
-        slot_p = np.array([rho, policy.delta_S * rho, policy.delta_C * rho])
-        mass = fractions * (1.0 - (1.0 - slot_p) ** shape.T)
-        p_scalar = float((mass * slot_p).sum() / pz)
-    else:
-        p_scalar = 0.0
-    if config.history_scalar == "predominant":
-        d_eff = policy.delta_B + (1.0 - policy.delta_B) * policy.delta_S
-        p_scalar = d_eff * rho
-
-    record = MetricsRecord(
-        k=k,
-        delta_B=policy.delta_B,
-        delta_S=policy.delta_S,
-        delta_C=policy.delta_C,
-        rho=float(rho),
-        pi=float(pi),
-        P_O=float(P_O),
-        P_O_tilde=float(P_tilde),
-        chi_C=float(chi_C_k),
-        p_scalar=p_scalar,
-        theta_curr=theta_curr,
-        block_success_prob=pz,
-        pcl_mean=pcl_mean,
-        cdf_curr=float(cdf_curr),
-        cdf_pcl=float(cdf_pcl),
-        cost=float(cost),
-    )
-    if p_scalar <= 0.0:
-        return replace(record, theta_pl=math.nan, theta_pa=math.nan)
-    full = hist.extended(p_scalar, record.P_O_tilde, record.chi_C)
-    return replace(
-        record,
-        theta_pl=expected_peak_latency(full, config.virtual_block),
-        theta_pa=expected_paoi(full, config.virtual_block),
     )
 
 

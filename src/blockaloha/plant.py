@@ -57,15 +57,12 @@ class PlantModel:
     """Discrete-time LTI plant with its target state and controllability index.
 
     Rejects (A, B, v) whose controllability matrix is row-rank deficient.
-    ``noise_std`` describes the per-component process noise of the physical
-    plant; the in-block estimate replay is noise-free by construction.
     """
 
     A: np.ndarray
     B: np.ndarray
     x_des: np.ndarray
     v: int
-    noise_std: float = 0.0
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))

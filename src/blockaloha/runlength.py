@@ -19,7 +19,6 @@ __all__ = [
     "BlockShape",
     "chi",
     "chi_bruteforce",
-    "truncated_geometric_mean",
 ]
 
 _BRUTE_FORCE_MAX_T = 24
@@ -108,23 +107,3 @@ def chi_bruteforce(shape: BlockShape, x: float) -> float:
         if n_qualifying:
             total += n_qualifying * xf**o * (1.0 - xf) ** (T - o)
     return total
-
-
-def truncated_geometric_mean(p: float, T: int):
-    """Mean number of leading failures in a T-slot block given >= 1 success.
-
-    Evaluates q/p - T q^T / (1 - q^T) with q = 1 - p.  The same expression is
-    the mean number of trailing failure slots after the last success, by
-    symmetry of the within-block failure runs.  Clamped to the analytic
-    range [0, T-1] (the two fractions cancel exactly at T=1, where float
-    round-off can leave a ~1e-13 residue).
-    """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    q = 1.0 - arr
-    qT = q**T
-    out = np.clip(q / arr - T * qT / (1.0 - qT), 0.0, float(T - 1))
-    return float(out) if np.ndim(p) == 0 else out

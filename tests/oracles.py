@@ -1,16 +1,35 @@
-"""Independent brute-force oracles shared across test modules.
+"""Independent oracles shared across test modules.
 
 These deliberately avoid the library's own code paths: run detection walks
 bit patterns, the latency/age expectations enumerate every outcome of
 the block process and weight it by its Bernoulli probability, and the
 spatial samplers build every interferer's power as its own array entry.
+The scalar reference pipeline at the end evaluates one candidate policy at
+a time from the library's scalar building blocks and the array formulas on
+``BlockHistory``; the optimizer's vectorized grid scan and its running-sum
+``HistoryState`` are tested against it.
 """
 
 import itertools
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from blockaloha import default_disk_radius, episode_rng
+from blockaloha import (
+    BlockHistory,
+    HistoryState,
+    MetricsRecord,
+    chi,
+    default_disk_radius,
+    effective_densities,
+    episode_rng,
+    expected_paoi,
+    expected_peak_latency,
+    first_time_controllability,
+    slot_success_prob,
+)
+from blockaloha.latency import _pcl_weights
 
 
 def max_run(bits) -> int:
@@ -155,3 +174,201 @@ def spatial_reference(params, lambda_eff, T, v, episodes, seed, disk_radius, geo
         counts["n"] += n
         batches.append((i, n, interference))
     return counts, batches
+
+
+# -- scalar reference pipeline ---------------------------------------------
+
+
+class DegeneratePolicyError(ValueError):
+    """Raised when no access regime can produce a successful transmission."""
+
+
+@dataclass(frozen=True)
+class CurrentBlockLatency:
+    """Regime-averaged current-block latency term and its success normalizer."""
+
+    expected_slots: float
+    block_success_prob: float  # P(Z(k) = 1): sum of regime fraction * (1 - q^T)
+
+
+def truncated_geometric_mean(p: float, T: int):
+    """Mean number of leading failures in a T-slot block given >= 1 success.
+
+    Evaluates q/p - T q^T / (1 - q^T) with q = 1 - p.  The same expression is
+    the mean number of trailing failure slots after the last success, by
+    symmetry of the within-block failure runs.  Clamped to the analytic
+    range [0, T-1] (the two fractions cancel exactly at T=1, where float
+    round-off can leave a ~1e-13 residue).
+    """
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    arr = np.asarray(p, dtype=float)
+    if np.any(arr <= 0.0) or np.any(arr > 1.0):
+        raise ValueError(f"p must lie in (0, 1], got {p!r}")
+    q = 1.0 - arr
+    qT = q**T
+    out = np.clip(q / arr - T * qT / (1.0 - qT), 0.0, float(T - 1))
+    return float(out) if np.ndim(p) == 0 else out
+
+
+def instantaneous_controllability(P_O_prev, pi_k, shape, delta_C, rho_k):
+    """P(block k itself is controllable), mixing the pre and post populations."""
+    return (1.0 - P_O_prev) * pi_k + P_O_prev * chi(
+        shape, delta_C * np.asarray(rho_k, dtype=float)
+    )
+
+
+def _regime_table(policy, rho_k, P_O_prev):
+    """Per-regime (fraction, slot success) pairs for (block, pre-slot, post-slot)."""
+    pre = 1.0 - P_O_prev
+    fractions = np.array(
+        [
+            pre * policy.delta_B,
+            pre * (1.0 - policy.delta_B) * policy.delta_S,
+            P_O_prev * policy.delta_C,
+        ]
+    )
+    slot_p = np.array([rho_k, policy.delta_S * rho_k, policy.delta_C * rho_k])
+    return fractions, slot_p
+
+
+def current_block_latency(shape, policy, rho_k, P_O_prev) -> CurrentBlockLatency:
+    """Expected leading-failure run of the current block under regime uncertainty.
+
+    Mixes the per-regime truncated-geometric means with posterior regime
+    weights proportional to fraction * (1 - q^T); also reports the
+    normalizer, the block success probability P(Z(k)=1).
+    """
+    if not 0.0 <= rho_k <= 1.0:
+        raise ValueError(f"rho_k must lie in [0, 1], got {rho_k}")
+    if not 0.0 <= P_O_prev <= 1.0:
+        raise ValueError(f"P_O_prev must lie in [0, 1], got {P_O_prev}")
+    fractions, slot_p = _regime_table(policy, rho_k, P_O_prev)
+    success = np.where(slot_p > 0.0, 1.0 - (1.0 - slot_p) ** shape.T, 0.0)
+    mass = fractions * success
+    total = float(mass.sum())
+    if total <= 0.0:
+        raise DegeneratePolicyError("no regime can transmit successfully under this policy")
+    value = 0.0
+    for m, p in zip(mass, slot_p):
+        if m > 0.0:
+            value += m * truncated_geometric_mean(float(p), shape.T)
+    return CurrentBlockLatency(expected_slots=value / total, block_success_prob=total)
+
+
+def cdf_terms(shape, policy, rho_k, P_O_prev, hist, eta_curr, eta_pcl):
+    """Joint CDF terms of the cost at thresholds (eta_curr slots, eta_pcl blocks).
+
+    ``hist`` covers blocks 1..k-1 before the one being evaluated (None for
+    k=1).  The current-block term uses the deterministic-indicator form
+    1{theta_curr <= eta} * P(Z(k)=1); the control-latency term is the exact
+    gap CDF times the instantaneous controllability probability.
+    """
+    if eta_curr < 0.0 or eta_pcl < 0.0:
+        raise ValueError("thresholds must be >= 0")
+    pi_k = first_time_controllability(shape, policy, rho_k)
+    p_tilde_k = instantaneous_controllability(P_O_prev, pi_k, shape, policy.delta_C, rho_k)
+    try:
+        curr = current_block_latency(shape, policy, rho_k, P_O_prev)
+        p_curr = float(curr.expected_slots <= eta_curr) * curr.block_success_prob
+    except DegeneratePolicyError:
+        p_curr = 0.0
+    if hist is None:
+        past_pt, past_cc = (), ()
+    else:
+        past_pt, past_cc = hist.P_O_tilde, hist.chi_C
+    weights = _pcl_weights(past_pt, past_cc)
+    total = weights.sum()
+    if total <= 0.0:
+        cdf = 0.0
+    else:
+        n_in = min(len(weights), int(math.floor(eta_pcl)))
+        cdf = float(weights[:n_in].sum() / total)
+    return p_curr, cdf * p_tilde_k
+
+
+def pcl_context(hist, eta_pcl):
+    """(conditional cdf at eta, mean) of the gap distribution at the next block."""
+    weights = _pcl_weights(hist.P_O_tilde, hist.chi_C)
+    total = weights.sum()
+    if total <= 0.0:
+        return 0.0, math.nan
+    pmf = weights / total
+    n_in = min(pmf.size, int(math.floor(eta_pcl)))
+    cdf = float(pmf[:n_in].sum())
+    mean = float(np.sum(np.arange(1, pmf.size + 1) * pmf))
+    return cdf, mean
+
+
+def history_state(hist, virtual_block, eta_pcl):
+    """``HistoryState`` after every block of ``hist``, folded one block at a time."""
+    state = HistoryState.start(hist.T, virtual_block, eta_pcl)
+    for entry in zip(hist.p, hist.P_O_tilde, hist.chi_C):
+        state = state.extended(*entry)
+    return state
+
+
+def evaluate_candidate(k, policy, P_O_prev, hist, params, shape, config) -> MetricsRecord:
+    """Scalar reference evaluation of one candidate policy at block k.
+
+    Composes the scalar operations step by step on the array-based
+    ``BlockHistory``.  A degenerate candidate (no regime can transmit)
+    yields zero CDF terms instead of an error so a grid scan never aborts.
+    ``hist`` covers blocks 1..k-1 (None for k=1).
+    """
+    hist = hist if hist is not None else BlockHistory(shape.T, (), (), ())
+    if len(hist) != k - 1:
+        raise ValueError(f"history covers {len(hist)} blocks, expected {k - 1}")
+    dens = effective_densities(params, policy, P_O_prev)
+    rho = slot_success_prob(params, dens.lambda_eff)
+    pi = first_time_controllability(shape, policy, rho)
+    P_O = P_O_prev + (1.0 - P_O_prev) * pi
+    P_tilde = instantaneous_controllability(P_O_prev, pi, shape, policy.delta_C, rho)
+    chi_C_k = chi(shape, policy.delta_C * rho)
+    try:
+        curr = current_block_latency(shape, policy, rho, P_O_prev)
+        theta_curr, pz = curr.expected_slots, curr.block_success_prob
+    except DegeneratePolicyError:
+        theta_curr, pz = math.nan, 0.0
+    cdf_curr, cdf_pcl = cdf_terms(
+        shape, policy, rho, P_O_prev, hist, config.eta_curr, config.eta_pcl
+    )
+    _, pcl_mean = pcl_context(hist, config.eta_pcl)
+    cost = P_O + config.rho1 * cdf_curr + config.rho2 * cdf_pcl
+
+    if pz > 0.0:
+        fractions, slot_p = _regime_table(policy, rho, P_O_prev)
+        mass = fractions * (1.0 - (1.0 - slot_p) ** shape.T)
+        p_scalar = float((mass * slot_p).sum() / pz)
+    else:
+        p_scalar = 0.0
+    if config.history_scalar == "predominant":
+        d_eff = policy.delta_B + (1.0 - policy.delta_B) * policy.delta_S
+        p_scalar = d_eff * rho
+
+    record = MetricsRecord(
+        k=k,
+        delta_B=policy.delta_B,
+        delta_S=policy.delta_S,
+        delta_C=policy.delta_C,
+        rho=float(rho),
+        pi=float(pi),
+        P_O=float(P_O),
+        P_O_tilde=float(P_tilde),
+        chi_C=float(chi_C_k),
+        p_scalar=p_scalar,
+        theta_curr=theta_curr,
+        block_success_prob=pz,
+        pcl_mean=pcl_mean,
+        cdf_curr=float(cdf_curr),
+        cdf_pcl=float(cdf_pcl),
+        cost=float(cost),
+    )
+    if p_scalar <= 0.0:
+        return replace(record, theta_pl=math.nan, theta_pa=math.nan)
+    full = hist.extended(p_scalar, record.P_O_tilde, record.chi_C)
+    return replace(
+        record,
+        theta_pl=expected_peak_latency(full, config.virtual_block),
+        theta_pa=expected_paoi(full, config.virtual_block),
+    )

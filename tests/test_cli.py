@@ -50,6 +50,8 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "alpha=1.5") == 2
     assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "bogus=1") == 2
     assert run_cli("validate", "--outdir", str(tmp_path), "--workers", "0") == 2
+    for scale in ("0", "-1", "nan"):
+        assert run_cli("validate", "--outdir", str(tmp_path), "--episodes-scale", scale) == 2
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -154,6 +156,17 @@ def test_validate_quick_passes_and_is_deterministic(tmp_path):
     lines = (d1 / "validation.csv").read_text().splitlines()
     rows = [l for l in lines if not l.startswith("#")][1:]
     assert len(rows) >= 10
+
+
+def test_validate_equal_estimates_score_z_zero(tmp_path):
+    # one episode per tier: both run-frequency estimates are 1 with zero stderr
+    run_cli("validate", "--outdir", str(tmp_path), "--episodes-scale", "1e-9")
+    lines = (tmp_path / "validation.csv").read_text().splitlines()
+    rows = {r[0]: r for r in (l.split(",") for l in lines if not l.startswith("#"))}
+    _, analytic, empirical, z, _, passed = rows["spatial_vs_bernoulli_run_freq"]
+    assert float(analytic) == float(empirical) == 1.0
+    assert float(z) == 0.0
+    assert passed == "True"
 
 
 def test_validate_perturbation_fails(tmp_path):

@@ -4,12 +4,11 @@ import pytest
 from blockaloha import (
     AccessPolicy,
     BlockShape,
-    advance_state,
     chi,
     chi_bruteforce,
     first_time_controllability,
-    instantaneous_controllability,
 )
+from oracles import instantaneous_controllability
 
 
 def test_first_time_block_access_only():
@@ -44,27 +43,6 @@ def test_first_time_between_slot_and_block_values():
             pi = first_time_controllability(shape, AccessPolicy(dB, dS, 0.0), rho)
             lo, hi = chi(shape, dS * rho), chi(shape, rho)
             assert lo - 1e-15 <= pi <= hi + 1e-15
-
-
-def test_advance_state():
-    assert advance_state(None, 0.3) == 0.3
-    assert advance_state(1.0, 0.7) == 1.0
-    assert advance_state(0.5, 0.5) == 0.75
-
-
-def test_advance_state_rejects_bad_pi():
-    with pytest.raises(ValueError):
-        advance_state(0.5, 1.5)
-
-
-def test_advance_state_nondecreasing_fixed_point():
-    rng = np.random.default_rng(3)
-    p = 0.0
-    for _ in range(300):
-        nxt = advance_state(p, float(rng.random()))
-        assert nxt >= p - 1e-15
-        assert nxt <= 1.0
-        p = nxt
 
 
 def test_instantaneous_examples():

@@ -12,13 +12,12 @@ from blockaloha import (
     HistoryState,
     NetworkParams,
     OptimizerConfig,
-    evaluate_candidate,
     expected_paoi,
     expected_peak_latency,
     optimize_block,
     run_horizon,
 )
-from blockaloha.optimizer import _pcl_context
+from oracles import evaluate_candidate, history_state, pcl_context
 
 REL, ABS = 1e-12, 1e-14
 MODES = ("extend", "boundary")
@@ -50,14 +49,14 @@ def test_state_matches_array_formulas(k, mode):
     full = BlockHistory(T, tuple(p), tuple(pt), tuple(cc))
     past = BlockHistory(T, tuple(p[:-1]), tuple(pt[:-1]), tuple(cc[:-1]))
     for eta in (0.0, 0.5, 1.0, 3.0, 7.5, k + 1.5):
-        state = HistoryState.from_history(past, mode, eta)
+        state = history_state(past, mode, eta)
         assert len(state) == k - 1
         assert len(state.pcl_tail) == min(math.floor(eta), k)
         pl, pa = state.peak_metrics(p[-1])
         assert close(pl, expected_peak_latency(full, mode))
         assert close(pa, expected_paoi(full, mode))
         cdf, mean = state.pcl_context()
-        want_cdf, want_mean = _pcl_context(past, eta)
+        want_cdf, want_mean = pcl_context(past, eta)
         assert close(cdf, want_cdf)
         assert close(mean, want_mean)
 
@@ -66,10 +65,10 @@ def test_state_matches_array_formulas(k, mode):
 def test_state_degenerate_pcl_and_zero_current_p(mode):
     # chi_C = 1 at block 2 cuts every older gap; P_tilde = 0 afterwards
     hist = BlockHistory(4, (0.5, 0.3, 0.7), (0.4, 0.0, 0.0), (0.2, 1.0, 0.6))
-    state = HistoryState.from_history(hist, mode, 3.0)
+    state = history_state(hist, mode, 3.0)
     assert state.pcl_context()[0] == 0.0
     assert math.isnan(state.pcl_context()[1])
-    assert _pcl_context(hist, 3.0)[0] == 0.0
+    assert pcl_context(hist, 3.0)[0] == 0.0
     with pytest.raises(ValueError):
         state.peak_metrics(0.0)
     with pytest.raises(ValueError):

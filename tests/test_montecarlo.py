@@ -23,7 +23,7 @@ from blockaloha import (
     slot_success_prob,
 )
 from blockaloha.montecarlo import _spatial_slots
-from oracles import spatial_reference
+from oracles import instantaneous_controllability, spatial_reference
 
 PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
 
@@ -109,7 +109,7 @@ def test_policy_chain_matches_recursions():
     shape = BlockShape(5, 2)
     policies = [AccessPolicy(0.3, 0.4, 0.6)] * 6
     # analytic recursion threading the mean-field state
-    from blockaloha import effective_densities, instantaneous_controllability
+    from blockaloha import effective_densities
 
     P_O = 0.0
     rho_seq, pi_seq, po_seq, pt_seq = [], [], [], []
@@ -141,7 +141,6 @@ def test_policy_chain_pcl_matches_gap_formula_in_steady_regime():
     rho_seq = [rho] * K
     rep = simulate_policy_chain(shape, [pol] * K, rho_seq, 100_000, seed=18)
     # build the analytic history the chain realizes
-    from blockaloha import instantaneous_controllability
 
     P_O = 0.0
     pt_seq, cc_seq, p_seq = [], [], []

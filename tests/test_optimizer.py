@@ -12,10 +12,10 @@ from blockaloha import (
     MetricsRecord,
     NetworkParams,
     OptimizerConfig,
-    evaluate_candidate,
     optimize_block,
     run_horizon,
 )
+from oracles import current_block_latency, evaluate_candidate, history_state
 
 PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
 SHAPE = BlockShape(5, 2)
@@ -28,7 +28,7 @@ def config(**over):
 
 
 def state_of(hist, cfg):
-    return HistoryState.from_history(hist, cfg.virtual_block, cfg.eta_pcl)
+    return history_state(hist, cfg.virtual_block, cfg.eta_pcl)
 
 
 def test_config_validation():
@@ -47,7 +47,6 @@ def test_config_validation():
 def test_full_block_access_composition_identity():
     from blockaloha import (
         chi,
-        current_block_latency,
         effective_densities,
         first_time_controllability,
         slot_success_prob,
@@ -179,7 +178,7 @@ def test_horizon_trace_properties():
             later = [s for s in trace.records if s.k > r.k]
             assert all(s.delta_B == 0.0 and s.delta_S == 1.0 for s in later)
             break
-    assert len(trace.history) == 25
+    assert len(trace.records) == 25
 
 
 def test_horizon_deterministic():

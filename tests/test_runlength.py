@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from blockaloha import BlockShape, chi, chi_bruteforce, truncated_geometric_mean
-from oracles import chi_by_enumeration
+from blockaloha import BlockShape, chi, chi_bruteforce
+from blockaloha.latency import _ex_term
+from oracles import chi_by_enumeration, truncated_geometric_mean
 
 
 def test_block_shape_rejects_bad_dimensions():
@@ -133,3 +134,16 @@ def test_truncated_geometric_mean_range_and_monotonicity():
             assert 0.0 <= val <= T - 1
             assert val <= prev + 1e-12
             prev = val
+
+
+@pytest.mark.parametrize("T", [2, 5, 12])
+def test_ex_term_matches_truncated_geometric_mean(T):
+    # the one kernel behind the grid's current-block latency and the peak formulas
+    ps = np.linspace(0.01, 1.0, 100)
+    want = [truncated_geometric_mean(float(p), T) for p in ps]
+    assert _ex_term(ps, T) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    for p in (0.01, 0.5, 1.0):  # scalar input, as the peak formulas pass it
+        assert float(_ex_term(p, T)) == pytest.approx(truncated_geometric_mean(p, T), rel=1e-12)
+    # a block that never succeeds carries zero weight
+    assert float(_ex_term(0.0, T)) == 0.0
+    assert list(_ex_term(np.array([0.0, 0.5, 0.0]), T)[[0, 2]]) == [0.0, 0.0]
