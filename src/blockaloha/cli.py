@@ -322,7 +322,7 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
     # -- policy-chain tier (controllability recursions + gap distribution) --
     # weak access keeps P_O_final away from 1 so the z-test stays regular
     policies = [AccessPolicy(0.15, 0.3, 0.5)] * 8
-    rho_seq, p_tilde_seq, chi_c_seq = [], [], []
+    rho_seq, p_tilde_seq = [], []
     P_O = 0.0
     for pol in policies:
         dens = effective_densities(params, pol, P_O)
@@ -332,7 +332,6 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
         p_tilde = (1.0 - P_O) * pi + P_O * chi_c
         rho_seq.append(rho)
         p_tilde_seq.append(p_tilde)
-        chi_c_seq.append(chi_c)
         P_O = P_O + (1.0 - P_O) * pi
     chain_episodes = max(1, int(100_000 * scale))
     rep = simulate_policy_chain(

@@ -253,8 +253,11 @@ def _ex_term(p, T: int) -> np.ndarray:
     block given at least one success, and by symmetry the mean trailing
     failure run after its last success.  A block with p = 0 never succeeds,
     so its term carries zero weight; it is evaluated at p = 1, where the
-    expression is exactly 0.
+    expression is exactly 0.  At T = 1 it is exactly 0 for every p, and
+    is returned as such: the two terms cancel only to rounding (1e-15).
     """
+    if T == 1:
+        return np.zeros_like(np.asarray(p, dtype=float))
     safe = np.where(np.asarray(p, dtype=float) > 0.0, p, 1.0)
     q = 1.0 - safe
     qT = q**T

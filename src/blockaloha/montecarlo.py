@@ -11,6 +11,7 @@ sufficient statistics are merged in batch order.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -232,20 +233,41 @@ def _faded_sums(rng, path_loss: np.ndarray, counts: np.ndarray, out: np.ndarray)
     return sums
 
 
+def _skipped(rng, m: int) -> np.random.Generator:
+    """A copy of the Philox generator ``rng`` that starts m raw outputs on.
+
+    ``Philox.advance`` counts blocks of 4 outputs and drops the buffered
+    ones, so the buffer is drained first, ``advance`` skips only whole
+    blocks and the remainder is drawn raw.
+    """
+    bg = copy.deepcopy(rng.bit_generator)
+    head = min(m, 4 - bg.state["buffer_pos"])
+    bg.random_raw(head)
+    if m - head >= 4:
+        bg.advance((m - head) // 4)
+    bg.random_raw((m - head) % 4)
+    return np.random.Generator(bg)
+
+
 def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
     """Slot successes and interference, both of shape (n, T), of one batch.
 
     Draws: interferer counts per cell (a slot, or a frozen episode), their
     uniforms u, then per slot the interferer and the signal fading.  At
     r = R sqrt(u) the path loss is xi R^-alpha u^(-alpha/2), so the
-    uniforms become the only per-interferer array (plus one product buffer
-    per episode) and the constant scales the per-slot sums.
+    uniforms become the only per-interferer array and the constant scales
+    the per-slot sums.  ``per-episode`` reuses each uniform T times and
+    keeps them all (plus one product buffer).  ``per-slot`` uses each once,
+    so it reads them from ``rng`` and the fading from a view of the same
+    stream skipped past them, one group of whole cells of about
+    ``_FADING_CHUNK`` interferers at a time: the draws are unchanged and
+    the memory is O(_FADING_CHUNK + largest cell).
     """
     per_episode = geometry == "per-episode"
     counts = rng.poisson(mean_pts, size=n if per_episode else n * T)
-    path_loss = rng.random(int(counts.sum()))
-    np.power(path_loss, -0.5 * params.alpha, out=path_loss)
     if per_episode:
+        path_loss = rng.random(int(counts.sum()))
+        np.power(path_loss, -0.5 * params.alpha, out=path_loss)
         faded = np.empty_like(path_loss)
         interference = np.empty((n, T))
         signal = np.empty((n, T))
@@ -253,8 +275,20 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
             interference[:, t] = _faded_sums(rng, path_loss, counts, faded)
             signal[:, t] = rng.exponential(size=n)
     else:
-        interference = _faded_sums(rng, path_loss, counts, path_loss).reshape(n, T)
-        signal = rng.exponential(size=n * T).reshape(n, T)
+        offsets = np.r_[0, np.cumsum(counts)]
+        # a group: the cells whose first interferer falls in one chunk
+        edges = np.r_[0, np.flatnonzero(np.diff(offsets[:-1] // _FADING_CHUNK)) + 1, counts.size]
+        sizes = np.diff(offsets[edges])
+        fading_rng = _skipped(rng, int(offsets[-1]))
+        path_loss = np.empty(sizes.max())
+        interference = np.empty(n * T)
+        for a, b, size in zip(edges[:-1], edges[1:], sizes):
+            u = path_loss[:size]
+            rng.random(out=u)
+            np.power(u, -0.5 * params.alpha, out=u)
+            interference[a:b] = _faded_sums(fading_rng, u, counts[a:b], u)
+        interference = interference.reshape(n, T)
+        signal = fading_rng.exponential(size=n * T).reshape(n, T)
     interference *= params.xi * disk_radius ** (-params.alpha)
     signal *= params.xi * params.r0 ** (-params.alpha)
     return signal > params.gamma * (params.N0 + interference), interference

@@ -22,7 +22,7 @@ from blockaloha import (
     simulate_spatial,
     slot_success_prob,
 )
-from blockaloha.montecarlo import _spatial_slots
+from blockaloha.montecarlo import _skipped, _spatial_slots
 from oracles import instantaneous_controllability, spatial_reference
 
 PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
@@ -208,12 +208,14 @@ def test_spatial_zero_interference():
 
 # (alpha, lam, disk_radius, episodes, batch_size): the 3e-7 density leaves
 # most cells and whole batches without interferers; 700 is not a multiple
-# of 300, nor 500 of 16
+# of 300, nor 500 of 16; at 1e-2 every cell holds ~70,700 interferers, more
+# than one fading chunk
 SPATIAL_CASES = [
     (2.5, 1e-4, 600.0, 700, 300),
     (3.0, 1e-4, 600.0, 700, 300),
     (4.0, 1e-4, 600.0, 700, 300),
     (3.0, 3e-7, 100.0, 500, 16),
+    (3.0, 1e-2, 1500.0, 3, 2),
 ]
 
 
@@ -268,6 +270,41 @@ def test_spatial_per_slot_peak_memory_is_one_float_per_interferer():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * interferers, (peak, interferers)
+
+
+@pytest.mark.parametrize("n", [400, 2_000])
+def test_spatial_per_slot_peak_memory_is_independent_of_interferers(n):
+    # ~1.4M and ~7.1M interferers: the per-slot batch streams them in
+    # groups of about one fading chunk instead of holding one float each
+    shape = BlockShape(5, 2)
+    tracemalloc.start()
+    try:
+        simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), shape, n, 31,
+                         disk_radius=1500.0, batch_size=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+@pytest.mark.parametrize("m", [*range(10), 65_537, 200_003])
+def test_skipped_stream_starts_after_m_raw_outputs(m):
+    # every Philox buffer position: 0-3 raw draws plus one or two Poisson
+    # draws reach 1-4, and 0 (four buffered outputs) is set directly
+    positions = set()
+    for raw, size, pos in [(r, s, None) for r in range(4) for s in (1, 2)] + [(0, 1, 0)]:
+        rng = episode_rng(7, 0)
+        rng.bit_generator.random_raw(raw)
+        rng.poisson(50.0, size=size)
+        if pos is not None:
+            state = rng.bit_generator.state
+            state["buffer_pos"] = pos
+            rng.bit_generator.state = state
+        positions.add(rng.bit_generator.state["buffer_pos"])
+        view = _skipped(rng, m)
+        rng.random(m)
+        assert np.array_equal(view.standard_exponential(1_000), rng.standard_exponential(1_000))
+    assert positions == {0, 1, 2, 3, 4}
 
 
 @pytest.mark.parametrize(

@@ -239,3 +239,21 @@ def test_coarsest_grid_step():
         assert r.delta_B in (0.0, 1.0)
         assert r.delta_S in (0.0, 1.0)
         assert r.delta_C in (0.0, 1.0)
+
+
+def test_current_block_latency_is_exactly_zero_at_T1():
+    # a one-slot block has no leading failure slots: the kernel's two terms
+    # cancel only to rounding, so it must return exact zeros there
+    from blockaloha.latency import _ex_term
+    from blockaloha.optimizer import _evaluate_grid
+
+    assert (_ex_term(np.linspace(0.0, 1.0, 101), 1) == 0.0).all()
+    shape = BlockShape(1, 1)
+    cfg = config(grid_step=0.05)
+    vals = cfg.grid_values
+    B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
+    state = HistoryState.start(shape.T, cfg.virtual_block, cfg.eta_pcl)
+    for P_prev in (0.0, 0.4):
+        theta = _evaluate_grid(1, P_prev, state, PARAMS, shape, cfg,
+                               B.ravel(), S.ravel(), C.ravel())["theta_curr"]
+        assert (theta[~np.isnan(theta)] >= 0.0).all()
