@@ -6,13 +6,11 @@ per-block access-probability optimizer, and Monte Carlo simulators that
 validate every formula.
 """
 
-from .controllability import first_time_controllability
 from .latency import (
     BlockHistory,
     DegenerateHistoryError,
     HistoryState,
     expected_paoi,
-    expected_pcl,
     expected_peak_latency,
     pcl_pmf,
 )
@@ -29,6 +27,7 @@ from .optimizer import (
     MetricsRecord,
     OptimizerConfig,
     PolicyTrace,
+    block_recursion,
     optimize_block,
     run_horizon,
 )

@@ -22,8 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .controllability import first_time_controllability
-from .latency import BlockHistory, expected_paoi, expected_pcl, expected_peak_latency, pcl_pmf
+from .latency import BlockHistory, HistoryState, pcl_pmf
 from .montecarlo import (
     Estimate,
     simulate_bernoulli,
@@ -31,13 +30,12 @@ from .montecarlo import (
     simulate_renewal_pcl,
     simulate_spatial,
 )
-from .optimizer import OptimizerConfig, run_horizon
+from .optimizer import OptimizerConfig, block_recursion, run_horizon
 from .plant import default_plant, run_block
 from .runlength import BlockShape, chi, chi_bruteforce
 from .spatial import (
     AccessPolicy,
     NetworkParams,
-    effective_densities,
     interference_integral,
     parse_power_watts,
     slot_success_prob,
@@ -48,6 +46,10 @@ __all__ = ["ConfigError", "RunConfig", "load_run_config", "main"]
 
 class ConfigError(Exception):
     """Invalid configuration file or option value."""
+
+
+# Philox keys take 64-bit seeds, and validate keys its tiers seed+1..seed+7.
+_MAX_SEED = 2**64 - 8
 
 
 _DEFAULTS = {
@@ -144,6 +146,8 @@ def load_run_config(
         seed = int(merged["seed"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    if not 0 <= seed <= _MAX_SEED:
+        raise ConfigError(f"seed must lie in [0, {_MAX_SEED}], got {seed}")
     return RunConfig(
         params=params,
         shape=shape,
@@ -292,65 +296,57 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
     rows.append(_exact_row("pcl_pmf_normalization_maxdev", 0.0, worst, 1e-9))
 
     # -- Bernoulli tier -------------------------------------------------
+    # peak latency and age of the final block, from the driver's running sums
     episodes = max(1, int(200_000 * scale))
     sh = BlockShape(5, 3)
-    hist_c = BlockHistory(5, (0.5, 0.5, 0.5), (0,) * 3, (0,) * 3)
-    rep = simulate_bernoulli((0.5, 0.5, 0.5), sh, episodes, seed + 1, workers=workers)
-    rows.append(
-        _stat_row("bern_run_freq_vs_chi", chi(sh, 0.5) * bump, rep["run_freq_b3"])
-    )
-    rows.append(
-        _stat_row(
-            "bern_peak_latency_const_p0.5",
-            expected_peak_latency(hist_c) * bump,
-            rep["peak_latency"],
+    for i, (label, p_seq) in enumerate(
+        (("const_p0.5", (0.5, 0.5, 0.5)), ("varying", (0.9, 0.1, 0.8)))
+    ):
+        rep = simulate_bernoulli(p_seq, sh, episodes, seed + 1 + i, workers=workers)
+        if i == 0:
+            rows.append(
+                _stat_row("bern_run_freq_vs_chi", chi(sh, 0.5) * bump, rep["run_freq_b3"])
+            )
+        state = HistoryState.fold(sh.T, "extend", 0.0, p_seq[:-1], (0, 0), (0, 0))
+        peak_latency, paoi = state.peak_metrics(p_seq[-1])
+        rows.append(
+            _stat_row(f"bern_peak_latency_{label}", peak_latency * bump, rep["peak_latency"])
         )
-    )
-    rows.append(_stat_row("bern_paoi_const_p0.5", expected_paoi(hist_c) * bump, rep["paoi"]))
-
-    hist_v = BlockHistory(5, (0.9, 0.1, 0.8), (0,) * 3, (0,) * 3)
-    rep = simulate_bernoulli((0.9, 0.1, 0.8), sh, episodes, seed + 2, workers=workers)
-    rows.append(
-        _stat_row(
-            "bern_peak_latency_varying",
-            expected_peak_latency(hist_v) * bump,
-            rep["peak_latency"],
-        )
-    )
-    rows.append(_stat_row("bern_paoi_varying", expected_paoi(hist_v) * bump, rep["paoi"]))
+        rows.append(_stat_row(f"bern_paoi_{label}", paoi * bump, rep["paoi"]))
 
     # -- policy-chain tier (controllability recursions + gap distribution) --
     # weak access keeps P_O_final away from 1 so the z-test stays regular
     policies = [AccessPolicy(0.15, 0.3, 0.5)] * 8
-    rho_seq, p_tilde_seq = [], []
+    blocks = []
     P_O = 0.0
     for pol in policies:
-        dens = effective_densities(params, pol, P_O)
-        rho = slot_success_prob(params, dens.lambda_eff)
-        pi = first_time_controllability(shape, pol, rho)
-        chi_c = chi(shape, pol.delta_C * rho)
-        p_tilde = (1.0 - P_O) * pi + P_O * chi_c
-        rho_seq.append(rho)
-        p_tilde_seq.append(p_tilde)
-        P_O = P_O + (1.0 - P_O) * pi
+        one = [np.array([d]) for d in pol.as_tuple()]  # a 1-candidate grid
+        blocks.append(block_recursion(P_O, params, shape, *one))
+        P_O = float(blocks[-1]["P_O"][0])
+    rho_seq = [float(b["rho"][0]) for b in blocks]
     chain_episodes = max(1, int(100_000 * scale))
     rep = simulate_policy_chain(
         shape, policies, rho_seq, chain_episodes, seed + 3, workers=workers
     )
-    pi1 = first_time_controllability(shape, policies[0], rho_seq[0])
-    rows.append(_stat_row("chain_pi_b1", pi1 * bump, rep["pi_b1"]))
+    rows.append(_stat_row("chain_pi_b1", float(blocks[0]["pi"][0]) * bump, rep["pi_b1"]))
     rows.append(_stat_row("chain_P_O_final", P_O * bump, rep["P_O_b8"]))
-    rows.append(_stat_row("chain_P_tilde_final", p_tilde_seq[-1] * bump, rep["P_tilde_b8"]))
+    rows.append(
+        _stat_row("chain_P_tilde_final", float(blocks[-1]["P_O_tilde"][0]) * bump,
+                  rep["P_tilde_b8"])
+    )
 
     # -- renewal tier ----------------------------------------------------
+    # with eta_pcl = 1 the gap CDF of the final block is its tau = 1 pmf
     c = 0.35
     k_renew = 12
-    h = BlockHistory(shape.T, (0.5,) * k_renew, (c,) * k_renew, (c,) * k_renew)
+    past = k_renew - 1
+    state = HistoryState.fold(shape.T, "extend", 1.0, (0.5,) * past, (c,) * past, (c,) * past)
+    pmf_tau1, pcl_mean = state.pcl_context()
     renew_episodes = max(1, int(200_000 * scale))
     rep = simulate_renewal_pcl((c,) * k_renew, (c,) * k_renew, renew_episodes, seed + 4,
                                workers=workers)
-    rows.append(_stat_row("renewal_pcl_mean_const", expected_pcl(h) * bump, rep["pcl_mean"]))
-    rows.append(_stat_row("renewal_pcl_pmf_tau1", pcl_pmf(h)[0] * bump, rep["pcl_pmf_1"]))
+    rows.append(_stat_row("renewal_pcl_mean_const", pcl_mean * bump, rep["pcl_mean"]))
+    rows.append(_stat_row("renewal_pcl_pmf_tau1", pmf_tau1 * bump, rep["pcl_pmf_1"]))
 
     # -- spatial tier ----------------------------------------------------
     # disk radius 1500 m keeps the far-field truncation bias ~6e-4, an

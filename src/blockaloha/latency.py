@@ -35,7 +35,6 @@ __all__ = [
     "expected_peak_latency",
     "expected_paoi",
     "pcl_pmf",
-    "expected_pcl",
 ]
 
 VIRTUAL_BLOCK_MODES = ("extend", "boundary")
@@ -123,14 +122,15 @@ def _push_gap(gap, p: float, T: int):
 class HistoryState:
     """Fixed-size summary of blocks 1..n that the next block's statistics need.
 
-    Build one with ``start`` (no blocks); ``extended`` appends a block.  It
-    holds, for the peak latency and peak age, the gap sums over the virtual
-    block 0 and blocks 1..n (``gap_sums``, None until block 1 fixes the
-    virtual block's p in ``extend`` mode), and, for the peak control
-    latency, the weight total, the tau-weighted total and the last
-    floor(eta_pcl) pairs (P_O_tilde, 1 - chi_C), the virtual block counting
-    as (1, 1).  Values agree with the ``BlockHistory`` formulas to
-    rounding; they are summed in another order.
+    Build one with ``start`` (no blocks) or ``fold`` (a whole per-block
+    series); ``extended`` appends a block.  It holds, for the peak latency
+    and peak age, the gap sums over the virtual block 0 and blocks 1..n
+    (``gap_sums``, None until block 1 fixes the virtual block's p in
+    ``extend`` mode), and, for the peak control latency, the weight total,
+    the tau-weighted total and the last floor(eta_pcl) pairs
+    (P_O_tilde, 1 - chi_C), the virtual block counting as (1, 1).  Values
+    agree with the ``BlockHistory`` formulas to rounding; they are summed
+    in another order.
     """
 
     T: int
@@ -154,6 +154,16 @@ class HistoryState:
         gap = _push_gap(_NO_GAP, 1.0, T) if virtual_block == "boundary" else None
         tail = ((1.0, 1.0),)[: math.floor(eta_pcl)]
         return cls(T, virtual_block, float(eta_pcl), 0, gap, 1.0, 1.0, tail)
+
+    @classmethod
+    def fold(
+        cls, T: int, virtual_block: str, eta_pcl: float, p, P_O_tilde, chi_C
+    ) -> "HistoryState":
+        """State after blocks 1..n of equal-length per-block series, appended in order."""
+        state = cls.start(T, virtual_block, eta_pcl)
+        for entry in zip(p, P_O_tilde, chi_C, strict=True):
+            state = state.extended(*entry)
+        return state
 
     def __len__(self) -> int:
         return self.n
@@ -331,9 +341,3 @@ def pcl_pmf(hist: BlockHistory) -> np.ndarray:
             "all candidate previous controllable blocks have probability 0"
         )
     return w / total
-
-
-def expected_pcl(hist: BlockHistory) -> float:
-    """Expected number of blocks back to the previous controllable block."""
-    pmf = pcl_pmf(hist)
-    return float(np.sum(np.arange(1, pmf.size + 1) * pmf))

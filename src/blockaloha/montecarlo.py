@@ -12,6 +12,7 @@ sufficient statistics are merged in batch order.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -32,7 +33,8 @@ __all__ = [
 ]
 
 _DEFAULT_BATCH = 50_000
-# Interferers per fading draw in the spatial tier (one 512 KiB buffer).
+# Interferers per fading draw in the spatial tier, and slots per episode
+# chunk in the Bernoulli tier (one 512 KiB buffer of float64).
 _FADING_CHUNK = 1 << 16
 
 
@@ -71,31 +73,28 @@ def episode_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(stream)))
 
 
-def _resolve_streams(seed, episodes: int, batch_size: int):
-    """Fixed batch plan (sizes independent of worker count)."""
+def _run_batches(seed, episodes, batch_size, workers, batch_fn):
+    """Map batch_fn(rng, n) over a fixed batch plan (sizes independent of the
+    worker count), merging stats in batch order."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    n_batches = -(-episodes // batch_size)
-    sizes = [batch_size] * (n_batches - 1) + [episodes - batch_size * (n_batches - 1)]
-    return [(i, sizes[i]) for i in range(n_batches)]
-
-
-def _run_batches(seed, episodes, batch_size, workers, batch_fn):
-    """Map batch_fn(rng, n) over the fixed plan, merging stats in batch order."""
     if batch_size < 1 or workers < 1:
         raise ValueError(f"batch_size and workers must be >= 1, got {batch_size}, {workers}")
-    plan = _resolve_streams(seed, episodes, batch_size)
-    jobs = [(episode_rng(seed, i), n) for i, n in plan]
+    starts = range(0, episodes, batch_size)
+    jobs = [(episode_rng(seed, i), min(batch_size, episodes - lo)) for i, lo in enumerate(starts)]
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda j: batch_fn(*j), jobs))
     else:
         results = [batch_fn(*j) for j in jobs]
-    merged = results[0]
-    for r in results[1:]:
-        for key, val in r.items():
-            merged[key] = merged[key] + val
-    return merged
+    return functools.reduce(_accumulate, results)
+
+
+def _accumulate(total: dict, part: dict) -> dict:
+    """Add the statistics of ``part`` into ``total``, key by key."""
+    for key, val in part.items():
+        total[key] = total[key] + val
+    return total
 
 
 def _mean_estimate(total, total_sq, n) -> Estimate:
@@ -144,6 +143,11 @@ def simulate_bernoulli(
     'boundary' fixes a success on its last slot).  Reports per-block slot,
     success and run rates, and the latency / age of the first input of the
     final block conditioned on that block succeeding.
+
+    A batch draws blocks 1..k episode-major, then block 0.  It walks chunks
+    of whole episodes of about ``_FADING_CHUNK`` slots, reading block 0 from
+    a view of the stream skipped past blocks 1..k, so its memory does not
+    grow with k; the statistics are integer sums, exact in any grouping.
     """
     p = np.asarray(p_seq, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -154,7 +158,7 @@ def simulate_bernoulli(
         raise ValueError(f"unknown virtual_block mode {virtual_block!r}")
     k, T, v = p.size, shape.T, shape.v
 
-    def batch(rng, n):
+    def chunk(rng, block0_rng, n):
         bits = rng.random((n, k, T)) < p[None, :, None]
         Z = bits.any(axis=2)
         runs = _has_run(bits, v)
@@ -163,7 +167,7 @@ def simulate_bernoulli(
         X = np.argmax(final, axis=1)
 
         if virtual_block == "extend":
-            b0 = rng.random((n, T)) < p[0]
+            b0 = block0_rng.random((n, T)) < p[0]
             z0 = b0.any(axis=1)
             w0 = np.argmax(b0[:, ::-1], axis=1)
         else:
@@ -198,6 +202,12 @@ def simulate_bernoulli(
             "X_sum": X[zk].sum().astype(float),
             "X_sq": (X[zk].astype(float) ** 2).sum(),
         }
+
+    def batch(rng, n):
+        block0_rng = _skipped(rng, n * k * T) if virtual_block == "extend" else None
+        step = max(1, _FADING_CHUNK // (k * T))
+        parts = (chunk(rng, block0_rng, min(step, n - lo)) for lo in range(0, n, step))
+        return functools.reduce(_accumulate, parts)
 
     stats = _run_batches(seed, episodes, batch_size, workers, batch)
     n = stats["n"]
@@ -249,6 +259,15 @@ def _skipped(rng, m: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def _cell_groups(counts: np.ndarray):
+    """(first cell, end cell, first interferer, interferers) of each group of
+    the cells whose first interferer falls in one ``_FADING_CHUNK``."""
+    offsets = np.r_[0, np.cumsum(counts)]
+    edges = np.r_[0, np.flatnonzero(np.diff(offsets[:-1] // _FADING_CHUNK)) + 1, counts.size]
+    starts = offsets[edges]
+    return list(zip(edges[:-1], edges[1:], starts[:-1], np.diff(starts)))
+
+
 def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
     """Slot successes and interference, both of shape (n, T), of one batch.
 
@@ -256,34 +275,34 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
     uniforms u, then per slot the interferer and the signal fading.  At
     r = R sqrt(u) the path loss is xi R^-alpha u^(-alpha/2), so the
     uniforms become the only per-interferer array and the constant scales
-    the per-slot sums.  ``per-episode`` reuses each uniform T times and
-    keeps them all (plus one product buffer).  ``per-slot`` uses each once,
-    so it reads them from ``rng`` and the fading from a view of the same
-    stream skipped past them, one group of whole cells of about
-    ``_FADING_CHUNK`` interferers at a time: the draws are unchanged and
-    the memory is O(_FADING_CHUNK + largest cell).
+    the per-slot sums.  Both geometries walk the cells in groups of about
+    ``_FADING_CHUNK`` interferers (``_cell_groups``) and multiply the
+    fading into one reused buffer.  ``per-episode`` reuses each uniform T
+    times, so it keeps them all.  ``per-slot`` uses each once, so it reads
+    them from ``rng`` and the fading from a view of the same stream skipped
+    past them: the draws are unchanged and the memory is
+    O(_FADING_CHUNK + largest cell).
     """
     per_episode = geometry == "per-episode"
     counts = rng.poisson(mean_pts, size=n if per_episode else n * T)
+    groups = _cell_groups(counts)
+    buffer = np.empty(max(size for *_, size in groups))
     if per_episode:
         path_loss = rng.random(int(counts.sum()))
         np.power(path_loss, -0.5 * params.alpha, out=path_loss)
-        faded = np.empty_like(path_loss)
         interference = np.empty((n, T))
         signal = np.empty((n, T))
         for t in range(T):
-            interference[:, t] = _faded_sums(rng, path_loss, counts, faded)
+            for a, b, lo, size in groups:
+                interference[a:b, t] = _faded_sums(
+                    rng, path_loss[lo : lo + size], counts[a:b], buffer[:size]
+                )
             signal[:, t] = rng.exponential(size=n)
     else:
-        offsets = np.r_[0, np.cumsum(counts)]
-        # a group: the cells whose first interferer falls in one chunk
-        edges = np.r_[0, np.flatnonzero(np.diff(offsets[:-1] // _FADING_CHUNK)) + 1, counts.size]
-        sizes = np.diff(offsets[edges])
-        fading_rng = _skipped(rng, int(offsets[-1]))
-        path_loss = np.empty(sizes.max())
+        fading_rng = _skipped(rng, int(counts.sum()))
         interference = np.empty(n * T)
-        for a, b, size in zip(edges[:-1], edges[1:], sizes):
-            u = path_loss[:size]
+        for a, b, _, size in groups:
+            u = buffer[:size]
             rng.random(out=u)
             np.power(u, -0.5 * params.alpha, out=u)
             interference[a:b] = _faded_sums(fading_rng, u, counts[a:b], u)

@@ -8,8 +8,10 @@ into a fixed-size ``HistoryState`` that feeds the next block's gap
 distribution, so each block costs the same however long the horizon runs.
 
 The grid scan is vectorized over candidates and is the only path that
-computes the per-candidate quantities; the tests hold it to a scalar
-reference of the same pipeline built on the array-based ``BlockHistory``.
+computes the per-candidate quantities.  Its controllability recursion,
+``block_recursion``, is also what ``validate`` evaluates its policy chain
+with; the tests hold both to a scalar reference of the same pipeline built
+on the array-based ``BlockHistory``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "OptimizerConfig",
     "MetricsRecord",
     "PolicyTrace",
+    "block_recursion",
     "optimize_block",
     "run_horizon",
 ]
@@ -115,16 +118,14 @@ class PolicyTrace:
     records: list[MetricsRecord] = field(default_factory=list)
 
 
-def _history_scalar(mode, m, slot_p, pz, d_eff, rho):
-    if mode == "predominant":
-        return d_eff * rho
-    post = np.where(pz > 0.0, (m * slot_p).sum(axis=0) / np.where(pz > 0.0, pz, 1.0), 0.0)
-    return post
+def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray]:
+    """Controllability recursion of one block over candidate policy arrays.
 
-
-def _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC):
-    """Vectorized per-block evaluation pipeline over candidate arrays."""
-    T = shape.T
+    Given the cumulative probability ``P_O_prev`` before the block: slot
+    success ``rho`` at the candidates' effective density, first-time
+    ``pi = dB chi(rho) + (1 - dB) chi(dS rho)``, cumulative ``P_O``,
+    instantaneous ``P_O_tilde`` and ``chi_C = chi(dC rho)``.
+    """
     pre = 1.0 - P_O_prev
     d_eff = dB + (1.0 - dB) * dS
     lam_eff = params.lam * (pre * d_eff + P_O_prev * dC)
@@ -136,8 +137,21 @@ def _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC):
     chi_S = chi(shape, dS * rho)
     chi_C = chi(shape, dC * rho)
     pi = dB * chi_rho + (1.0 - dB) * chi_S
-    P_O = P_O_prev + pre * pi
-    P_tilde = pre * pi + P_O_prev * chi_C
+    return {
+        "rho": rho,
+        "pi": pi,
+        "P_O": P_O_prev + pre * pi,
+        "P_O_tilde": pre * pi + P_O_prev * chi_C,
+        "chi_C": chi_C,
+    }
+
+
+def _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC):
+    """Vectorized per-block evaluation pipeline over candidate arrays."""
+    T = shape.T
+    fields = block_recursion(P_O_prev, params, shape, dB, dS, dC)
+    rho = fields["rho"]
+    pre = 1.0 - P_O_prev
 
     m = np.stack([pre * dB, pre * (1.0 - dB) * dS, P_O_prev * dC])
     slot_p = np.stack([rho, dS * rho, dC * rho])
@@ -161,15 +175,14 @@ def _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC):
             cdf_curr[valid] = worse / n_valid * pz[valid]
 
     cdf_pcl_cond, pcl_mean = state.pcl_context()
-    cdf_pcl = cdf_pcl_cond * P_tilde
-    cost = P_O + config.rho1 * cdf_curr + config.rho2 * cdf_pcl
-    p_scalar = _history_scalar(config.history_scalar, m, slot_p, pz, d_eff, rho)
+    cdf_pcl = cdf_pcl_cond * fields["P_O_tilde"]
+    cost = fields["P_O"] + config.rho1 * cdf_curr + config.rho2 * cdf_pcl
+    if config.history_scalar == "predominant":
+        p_scalar = (dB + (1.0 - dB) * dS) * rho
+    else:
+        p_scalar = np.where(valid, (m * slot_p).sum(axis=0) / np.where(valid, pz, 1.0), 0.0)
     return {
-        "rho": rho,
-        "pi": pi,
-        "P_O": P_O,
-        "P_O_tilde": P_tilde,
-        "chi_C": chi_C,
+        **fields,
         "p_scalar": p_scalar,
         "theta_curr": theta_curr,
         "block_success_prob": pz,
@@ -178,18 +191,6 @@ def _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC):
         "cdf_pcl": cdf_pcl,
         "cost": cost,
     }
-
-
-def _record_from_fields(k, policy, fields, idx, theta) -> MetricsRecord:
-    return MetricsRecord(
-        k=k,
-        delta_B=float(policy[0]),
-        delta_S=float(policy[1]),
-        delta_C=float(policy[2]),
-        theta_pl=theta[0],
-        theta_pa=theta[1],
-        **{name: float(arr[idx]) for name, arr in fields.items()},
-    )
 
 
 def optimize_block(
@@ -231,7 +232,11 @@ def optimize_block(
     policy = AccessPolicy(float(dB[best]), float(dS[best]), float(dC[best]))
     p_scalar = float(fields["p_scalar"][best])
     theta = state.peak_metrics(p_scalar) if p_scalar > 0.0 else (math.nan, math.nan)
-    return policy, _record_from_fields(k, policy.as_tuple(), fields, best, theta)
+    record = MetricsRecord(
+        k, *policy.as_tuple(), theta_pl=theta[0], theta_pa=theta[1],
+        **{name: float(arr[best]) for name, arr in fields.items()},
+    )
+    return policy, record
 
 
 def run_horizon(

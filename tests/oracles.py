@@ -26,7 +26,7 @@ from blockaloha import (
     episode_rng,
     expected_paoi,
     expected_peak_latency,
-    first_time_controllability,
+    pcl_pmf,
     slot_success_prob,
 )
 from blockaloha.latency import _pcl_weights
@@ -179,6 +179,23 @@ def spatial_reference(params, lambda_eff, T, v, episodes, seed, disk_radius, geo
 # -- scalar reference pipeline ---------------------------------------------
 
 
+def first_time_controllability(shape, policy, rho_k):
+    """P(block k is the first controllable one | not yet controllable).
+
+    Block-access controllers see per-slot success rho, slot-access ones
+    delta_S * rho:  pi = dB chi(rho) + (1 - dB) chi(dS rho).
+    """
+    return policy.delta_B * chi(shape, rho_k) + (1.0 - policy.delta_B) * chi(
+        shape, policy.delta_S * np.asarray(rho_k, dtype=float)
+    )
+
+
+def expected_pcl(hist) -> float:
+    """Expected number of blocks back to the previous controllable block."""
+    pmf = pcl_pmf(hist)
+    return float(np.sum(np.arange(1, pmf.size + 1) * pmf))
+
+
 class DegeneratePolicyError(ValueError):
     """Raised when no access regime can produce a successful transmission."""
 
@@ -302,10 +319,7 @@ def pcl_context(hist, eta_pcl):
 
 def history_state(hist, virtual_block, eta_pcl):
     """``HistoryState`` after every block of ``hist``, folded one block at a time."""
-    state = HistoryState.start(hist.T, virtual_block, eta_pcl)
-    for entry in zip(hist.p, hist.P_O_tilde, hist.chi_C):
-        state = state.extended(*entry)
-    return state
+    return HistoryState.fold(hist.T, virtual_block, eta_pcl, hist.p, hist.P_O_tilde, hist.chi_C)
 
 
 def evaluate_candidate(k, policy, P_O_prev, hist, params, shape, config) -> MetricsRecord:

@@ -15,9 +15,7 @@ from blockaloha import (
     chi,
     chi_bruteforce,
     expected_paoi,
-    expected_pcl,
     expected_peak_latency,
-    first_time_controllability,
     pcl_pmf,
     run_block,
     run_horizon,
@@ -27,7 +25,7 @@ from blockaloha import (
     slot_success_prob,
 )
 from blockaloha.plant import controllability_index, PlantModel
-from oracles import max_run
+from oracles import expected_pcl, first_time_controllability, max_run
 
 DEFAULT_PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
 

@@ -52,6 +52,12 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli("validate", "--outdir", str(tmp_path), "--workers", "0") == 2
     for scale in ("0", "-1", "nan"):
         assert run_cli("validate", "--outdir", str(tmp_path), "--episodes-scale", scale) == 2
+    # seeds key 64-bit Philox streams, and validate uses seed+1..seed+7
+    for seed in ("-1", str(2**64 - 7), str(2**64 - 1)):
+        assert run_cli("validate", "--outdir", str(tmp_path), "--seed", seed) == 2
+    assert run_cli("demo-plant", "--outdir", str(tmp_path), "--seed", "-3") == 2
+    assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "seed=-1") == 2
+    assert load_run_config(None, {"seed": str(2**64 - 8)}).seed == 2**64 - 8
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -180,6 +186,32 @@ def test_validate_perturbation_fails(tmp_path):
         "0.05",
     )
     assert code == 1
+
+
+def test_validate_reads_latency_references_from_history_state(monkeypatch):
+    # the peak latency/age and pcl rows must check the running sums the
+    # optimizer uses, not the BlockHistory array formulas
+    import blockaloha.cli
+    import blockaloha.latency
+    from blockaloha import BlockHistory, expected_paoi, expected_peak_latency
+    from blockaloha.cli import _validation_rows
+    from oracles import expected_pcl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate called an array formula")
+
+    for module in (blockaloha.cli, blockaloha.latency):
+        for name in ("expected_peak_latency", "expected_paoi", "expected_pcl"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    rows = {r.name: r.analytic for r in _validation_rows(load_run_config(), 1e-3, 1, 0.0)}
+    monkeypatch.undo()
+    for label, p in (("const_p0.5", (0.5, 0.5, 0.5)), ("varying", (0.9, 0.1, 0.8))):
+        hist = BlockHistory(5, p, (0,) * 3, (0,) * 3)
+        assert rows[f"bern_peak_latency_{label}"] == pytest.approx(
+            expected_peak_latency(hist), rel=1e-12)
+        assert rows[f"bern_paoi_{label}"] == pytest.approx(expected_paoi(hist), rel=1e-12)
+    hist = BlockHistory(5, (0.5,) * 12, (0.35,) * 12, (0.35,) * 12)
+    assert rows["renewal_pcl_mean_const"] == pytest.approx(expected_pcl(hist), rel=1e-12)
 
 
 def test_csv_float_format_round_trips(tmp_path):

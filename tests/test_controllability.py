@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from blockaloha import (
-    AccessPolicy,
-    BlockShape,
-    chi,
-    chi_bruteforce,
-    first_time_controllability,
-)
-from oracles import instantaneous_controllability
+from blockaloha import AccessPolicy, BlockShape, chi, chi_bruteforce
+from oracles import first_time_controllability, instantaneous_controllability
 
 
 def test_first_time_block_access_only():

@@ -61,6 +61,17 @@ def test_state_matches_array_formulas(k, mode):
         assert close(mean, want_mean)
 
 
+def test_fold_equals_step_by_step_extension():
+    series = ((0.9, 0.2, 0.6), (0.3, 0.5, 0.1), (0.4, 0.8, 0.7))
+    state = HistoryState.start(5, "boundary", 2.0)
+    for entry in zip(*series):
+        state = state.extended(*entry)
+    assert HistoryState.fold(5, "boundary", 2.0, *series) == state
+    assert HistoryState.fold(5, "extend", 1.0, (), (), ()) == HistoryState.start(5, "extend", 1.0)
+    with pytest.raises(ValueError):
+        HistoryState.fold(5, "extend", 1.0, (0.5, 0.5), (0.1,), (0.2, 0.3))
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_state_degenerate_pcl_and_zero_current_p(mode):
     # chi_C = 1 at block 2 cuts every older gap; P_tilde = 0 afterwards

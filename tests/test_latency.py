@@ -9,7 +9,6 @@ from blockaloha import (
     BlockShape,
     DegenerateHistoryError,
     expected_paoi,
-    expected_pcl,
     expected_peak_latency,
     pcl_pmf,
 )
@@ -18,6 +17,8 @@ from oracles import (
     cdf_terms,
     current_block_latency,
     enumerate_latency,
+    expected_pcl,
+    first_time_controllability,
     instantaneous_controllability,
     truncated_geometric_mean,
 )
@@ -213,8 +214,6 @@ def test_cdf_terms_full_mass():
     rho, P_prev = 0.85, 0.3
     past = hist_of((0.7, 0.6), p_tilde=(0.5, 0.4), chi_c=(0.2, 0.3))
     # eta_pcl >= k: the pcl term collapses to P_tilde_k
-    from blockaloha import first_time_controllability
-
     pi = first_time_controllability(shape, policy, rho)
     p_tilde = instantaneous_controllability(P_prev, pi, shape, policy.delta_C, rho)
     _, p_pcl = cdf_terms(shape, policy, rho, P_prev, past, 3.0, 10.0)

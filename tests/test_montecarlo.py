@@ -12,9 +12,7 @@ from blockaloha import (
     chi,
     episode_rng,
     expected_paoi,
-    expected_pcl,
     expected_peak_latency,
-    first_time_controllability,
     pcl_pmf,
     simulate_bernoulli,
     simulate_policy_chain,
@@ -23,7 +21,12 @@ from blockaloha import (
     slot_success_prob,
 )
 from blockaloha.montecarlo import _skipped, _spatial_slots
-from oracles import instantaneous_controllability, spatial_reference
+from oracles import (
+    expected_pcl,
+    first_time_controllability,
+    instantaneous_controllability,
+    spatial_reference,
+)
 
 PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
 
@@ -285,6 +288,38 @@ def test_spatial_per_slot_peak_memory_is_independent_of_interferers(n):
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
+
+
+@pytest.mark.parametrize("n", [400, 2_000])
+def test_spatial_per_episode_peak_memory_is_one_float_per_interferer(n):
+    # ~0.28M and ~1.4M interferers: the frozen field keeps its uniforms, but
+    # the faded products go through one buffer of about a fading chunk
+    from blockaloha.montecarlo import _FADING_CHUNK
+
+    shape, radius, seed = BlockShape(5, 2), 1500.0, 31
+    mean_pts = PARAMS.lam * math.pi * radius**2
+    interferers = int(episode_rng(seed, 0).poisson(mean_pts, size=n).sum())
+    tracemalloc.start()
+    try:
+        simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), shape, n, seed,
+                         disk_radius=radius, geometry="per-episode", batch_size=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * interferers + 4 * 8 * _FADING_CHUNK, (peak, interferers)
+
+
+def test_bernoulli_batch_peak_memory_does_not_grow_with_blocks():
+    # one 5,000-episode batch: its uniforms alone would take 8 B per slot
+    peaks = {}
+    for k in (3, 300):
+        tracemalloc.start()
+        try:
+            simulate_bernoulli((0.5,) * k, BlockShape(5, 2), 5_000, 3, batch_size=5_000)
+            _, peaks[k] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[300] < 1.5 * peaks[3], peaks
 
 
 @pytest.mark.parametrize("m", [*range(10), 65_537, 200_003])

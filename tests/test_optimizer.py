@@ -12,10 +12,16 @@ from blockaloha import (
     MetricsRecord,
     NetworkParams,
     OptimizerConfig,
+    block_recursion,
     optimize_block,
     run_horizon,
 )
-from oracles import current_block_latency, evaluate_candidate, history_state
+from oracles import (
+    current_block_latency,
+    evaluate_candidate,
+    first_time_controllability,
+    history_state,
+)
 
 PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
 SHAPE = BlockShape(5, 2)
@@ -45,12 +51,7 @@ def test_config_validation():
 
 
 def test_full_block_access_composition_identity():
-    from blockaloha import (
-        chi,
-        effective_densities,
-        first_time_controllability,
-        slot_success_prob,
-    )
+    from blockaloha import chi, effective_densities, slot_success_prob
 
     cfg = config()
     policy = AccessPolicy(1.0, 0.0, 0.0)
@@ -211,6 +212,31 @@ def test_grid_rank_mode_runs_and_orders():
     valid = ~np.isnan(theta)
     i_best = np.nanargmin(np.where(valid, theta, np.nan))
     assert score[i_best] == score[valid].max()
+
+
+@pytest.mark.parametrize(
+    "params, shape",
+    [(PARAMS, SHAPE), (NetworkParams(2e-3, 3.5, 0.2, 1.0, 1e-15, 30.0), BlockShape(10, 5))],
+)
+def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape):
+    # validate's policy chain evaluates one candidate at a time: it must
+    # read the very numbers the grid scan computes
+    from blockaloha.optimizer import _evaluate_grid
+
+    cfg = config(grid_step=0.25)
+    vals = cfg.grid_values
+    B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
+    dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
+    empty = HistoryState.start(shape.T, cfg.virtual_block, cfg.eta_pcl)
+    for P_prev in (0.0, 0.55, 1.0):
+        fields = _evaluate_grid(1, P_prev, empty, params, shape, cfg, dB, dS, dC)
+        for i in range(dB.size):
+            one = block_recursion(P_prev, params, shape, dB[i : i + 1], dS[i : i + 1],
+                                  dC[i : i + 1])
+            assert sorted(one) == ["P_O", "P_O_tilde", "chi_C", "pi", "rho"]
+            for name, arr in one.items():
+                assert arr.shape == (1,)
+                assert arr[0] == fields[name][i], (name, i, P_prev)
 
 
 def test_history_scalar_conventions():
