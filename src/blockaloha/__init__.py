@@ -15,7 +15,6 @@ from .latency import (
     pcl_pmf,
 )
 from .montecarlo import (
-    EmpiricalReport,
     Estimate,
     episode_rng,
     simulate_bernoulli,

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .montecarlo import (
     simulate_renewal_pcl,
     simulate_spatial,
 )
-from .optimizer import OptimizerConfig, block_recursion, run_horizon
+from .optimizer import OptimizerConfig, _unit_grid, block_recursion, run_horizon
 from .plant import default_plant, run_block
 from .runlength import BlockShape, chi, chi_bruteforce
 from .spatial import (
@@ -176,26 +176,25 @@ def write_meta(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _meta(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
-    payload = {
-        "command": command,
-        "config": cfg.echo(),
-        "seed": cfg.seed,
-        "versions": {
-            "blockaloha": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+def _emit(cfg: RunConfig, command: str, stem: str, comments, header, rows, /, **meta) -> Path:
+    """Write ``<stem>.csv`` and its ``<stem>.meta.json`` sidecar into the
+    output directory; the sidecar echoes the config, seed and versions plus
+    ``meta``.  Returns the CSV path."""
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    path = cfg.outdir / f"{stem}.csv"
+    write_csv(path, comments, header, rows)
+    versions = {"blockaloha": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    write_meta(
+        cfg.outdir / f"{stem}.meta.json",
+        {"command": command, "config": cfg.echo(), "seed": cfg.seed, "versions": versions,
+         **meta},
+    )
+    return path
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
     """Run the horizon optimizer and emit the per-block trace CSV."""
     trace = run_horizon(cfg.params, cfg.shape, cfg.optimizer)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     comments = [
         "per-block optimal access policy trace",
         "k: block index (1-based)",
@@ -217,17 +216,9 @@ def cmd_optimize(cfg: RunConfig) -> int:
         "theta_curr", "theta_pl", "theta_pa", "pcl_mean", "block_success_prob",
         "cdf_curr", "cdf_pcl", "cost",
     ]
-    rows = [
-        [
-            r.k, r.delta_B, r.delta_S, r.delta_C, r.rho, r.pi, r.P_O, r.P_O_tilde,
-            r.theta_curr, r.theta_pl, r.theta_pa, r.pcl_mean, r.block_success_prob,
-            r.cdf_curr, r.cdf_pcl, r.cost,
-        ]
-        for r in trace.records
-    ]
-    write_csv(cfg.outdir / "trace.csv", comments, header, rows)
-    write_meta(cfg.outdir / "trace.meta.json", _meta(cfg, "optimize"))
-    print(f"wrote {cfg.outdir / 'trace.csv'} ({len(rows)} blocks)")
+    rows = [[getattr(r, name) for name in header] for r in trace.records]
+    path = _emit(cfg, "optimize", "trace", comments, header, rows)
+    print(f"wrote {path} ({len(rows)} blocks)")
     return 0
 
 
@@ -250,9 +241,8 @@ def _exact_row(name: str, target: float, value: float, tol: float) -> _Row:
     return _Row(name, target, value, math.nan, f"|diff| <= {tol}", abs(value - target) <= tol)
 
 
-def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: float):
+def _validation_rows(cfg: RunConfig, scale: float, workers: int):
     params, shape, seed = cfg.params, cfg.shape, cfg.seed
-    bump = 1.0 + perturb_rho  # test hook: deliberately biases analytic references
     rows: list[_Row] = []
 
     # -- exact formula cross-checks ------------------------------------
@@ -304,15 +294,11 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
     ):
         rep = simulate_bernoulli(p_seq, sh, episodes, seed + 1 + i, workers=workers)
         if i == 0:
-            rows.append(
-                _stat_row("bern_run_freq_vs_chi", chi(sh, 0.5) * bump, rep["run_freq_b3"])
-            )
+            rows.append(_stat_row("bern_run_freq_vs_chi", chi(sh, 0.5), rep["run_freq_b3"]))
         state = HistoryState.fold(sh.T, "extend", 0.0, p_seq[:-1], (0, 0), (0, 0))
         peak_latency, paoi = state.peak_metrics(p_seq[-1])
-        rows.append(
-            _stat_row(f"bern_peak_latency_{label}", peak_latency * bump, rep["peak_latency"])
-        )
-        rows.append(_stat_row(f"bern_paoi_{label}", paoi * bump, rep["paoi"]))
+        rows.append(_stat_row(f"bern_peak_latency_{label}", peak_latency, rep["peak_latency"]))
+        rows.append(_stat_row(f"bern_paoi_{label}", paoi, rep["paoi"]))
 
     # -- policy-chain tier (controllability recursions + gap distribution) --
     # weak access keeps P_O_final away from 1 so the z-test stays regular
@@ -328,11 +314,10 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
     rep = simulate_policy_chain(
         shape, policies, rho_seq, chain_episodes, seed + 3, workers=workers
     )
-    rows.append(_stat_row("chain_pi_b1", float(blocks[0]["pi"][0]) * bump, rep["pi_b1"]))
-    rows.append(_stat_row("chain_P_O_final", P_O * bump, rep["P_O_b8"]))
+    rows.append(_stat_row("chain_pi_b1", float(blocks[0]["pi"][0]), rep["pi_b1"]))
+    rows.append(_stat_row("chain_P_O_final", P_O, rep["P_O_b8"]))
     rows.append(
-        _stat_row("chain_P_tilde_final", float(blocks[-1]["P_O_tilde"][0]) * bump,
-                  rep["P_tilde_b8"])
+        _stat_row("chain_P_tilde_final", float(blocks[-1]["P_O_tilde"][0]), rep["P_tilde_b8"])
     )
 
     # -- renewal tier ----------------------------------------------------
@@ -345,8 +330,8 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
     renew_episodes = max(1, int(200_000 * scale))
     rep = simulate_renewal_pcl((c,) * k_renew, (c,) * k_renew, renew_episodes, seed + 4,
                                workers=workers)
-    rows.append(_stat_row("renewal_pcl_mean_const", pcl_mean * bump, rep["pcl_mean"]))
-    rows.append(_stat_row("renewal_pcl_pmf_tau1", pmf_tau1 * bump, rep["pcl_pmf_1"]))
+    rows.append(_stat_row("renewal_pcl_mean_const", pcl_mean, rep["pcl_mean"]))
+    rows.append(_stat_row("renewal_pcl_pmf_tau1", pmf_tau1, rep["pcl_pmf_1"]))
 
     # -- spatial tier ----------------------------------------------------
     # disk radius 1500 m keeps the far-field truncation bias ~6e-4, an
@@ -362,11 +347,10 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
             workers=workers,
         )
         analytic = slot_success_prob(p, p.lam)
-        rows.append(_stat_row(f"spatial_slot_rate_{i + 1}", analytic * bump, rep["slot_rate"]))
+        rows.append(_stat_row(f"spatial_slot_rate_{i + 1}", analytic, rep["slot_rate"]))
         if i == 0:
             rows.append(
-                _stat_row("spatial_run_freq_full_access", chi(shape, analytic) * bump,
-                          rep["run_freq"])
+                _stat_row("spatial_run_freq_full_access", chi(shape, analytic), rep["run_freq"])
             )
             bern = simulate_bernoulli(
                 (analytic,), shape, spatial_episodes, seed + 7, workers=workers
@@ -384,12 +368,9 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int, perturb_rho: fl
     return rows
 
 
-def cmd_validate(
-    cfg: RunConfig, scale: float = 1.0, workers: int = 1, perturb_rho: float = 0.0
-) -> int:
+def cmd_validate(cfg: RunConfig, scale: float = 1.0, workers: int = 1) -> int:
     """Analytic-vs-Monte-Carlo comparison suite; nonzero exit on any failure."""
-    rows = _validation_rows(cfg, scale, workers, perturb_rho)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    rows = _validation_rows(cfg, scale, workers)
     comments = [
         "analytic vs Monte Carlo validation suite",
         "analytic: reference value; empirical: simulated estimate",
@@ -397,18 +378,9 @@ def cmd_validate(
         f"episodes scale factor: {scale}",
     ]
     header = ["name", "analytic", "empirical", "z", "criterion", "pass"]
-    write_csv(
-        cfg.outdir / "validation.csv",
-        comments,
-        header,
-        [[r.name, r.analytic, r.empirical, r.z, r.criterion, r.passed] for r in rows],
-    )
     n_fail = sum(not r.passed for r in rows)
-    write_meta(
-        cfg.outdir / "validation.meta.json",
-        _meta(cfg, "validate", {"rows": len(rows), "failures": n_fail,
-                                "episodes_scale": scale}),
-    )
+    _emit(cfg, "validate", "validation", comments, header, [astuple(r) for r in rows],
+          rows=len(rows), failures=n_fail, episodes_scale=scale)
     width = max(len(r.name) for r in rows)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
@@ -437,7 +409,6 @@ def cmd_demo_plant(cfg: RunConfig, g_pattern: str | None = None) -> int:
         flags = (rng.random(shape.T) < rho).astype(int).tolist()
     x0 = np.zeros(plant.n)
     trace = run_block(plant, shape, x0, flags)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     comments = [
         "slot-by-slot control-loop replay of one block",
         "slot: 0-based slot index; phase: control (delivering inputs) or dummy",
@@ -454,48 +425,37 @@ def cmd_demo_plant(cfg: RunConfig, g_pattern: str | None = None) -> int:
     for rec in trace.records:
         u = list(rec.u) if rec.u is not None else [math.nan] * plant.m
         rows.append([rec.slot, rec.phase, rec.g] + u + list(rec.x_hat))
-    write_csv(cfg.outdir / "plant_trace.csv", comments, header, rows)
-    write_meta(
-        cfg.outdir / "plant_trace.meta.json",
-        _meta(
-            cfg,
-            "demo-plant",
-            {
-                "flags": flags,
-                "controllable": trace.controllable,
-                "target_slot": trace.target_slot,
-            },
-        ),
-    )
+    path = _emit(cfg, "demo-plant", "plant_trace", comments, header, rows, flags=flags,
+                 controllable=trace.controllable, target_slot=trace.target_slot)
     outcome = (
         f"target reached at slot {trace.target_slot}"
         if trace.controllable
         else "target not reached"
     )
-    print(f"wrote {cfg.outdir / 'plant_trace.csv'} ({outcome})")
+    print(f"wrote {path} ({outcome})")
     return 0
 
 
 def cmd_chi_table(cfg: RunConfig, x_step: float = 0.05) -> int:
     """Dump the run probability chi over an x grid for every v up to T."""
     T = cfg.shape.T
-    n = round(1.0 / x_step)
-    if n < 1 or abs(n * x_step - 1.0) > 1e-9:
-        raise ConfigError(f"x step must divide 1, got {x_step}")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        xs = _unit_grid(x_step, "x step")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     header = ["x"] + [f"chi_v{v}" for v in range(1, T + 1)]
     rows = []
     for x in xs:
         rows.append([float(x)] + [chi(BlockShape(T, v), float(x)) for v in range(1, T + 1)])
-    write_csv(
-        cfg.outdir / "chi_table.csv",
+    path = _emit(
+        cfg,
+        "chi-table",
+        "chi_table",
         [f"P(run of >= v successes in a {T}-slot block) vs per-slot success x"],
         header,
         rows,
     )
-    write_meta(cfg.outdir / "chi_table.meta.json", _meta(cfg, "chi-table"))
-    print(f"wrote {cfg.outdir / 'chi_table.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -512,9 +472,10 @@ def cmd_success_prob(cfg: RunConfig, points: int = 41) -> int:
         ]
         for lam in lams
     ]
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        cfg.outdir / "success_prob.csv",
+    path = _emit(
+        cfg,
+        "success-prob",
+        "success_prob",
         [
             "conditional slot success probability vs effective transmitter density (m^-2)",
             f"interference integral (closed form): {interference_integral(cfg.params)!r}",
@@ -522,8 +483,7 @@ def cmd_success_prob(cfg: RunConfig, points: int = 41) -> int:
         ["lambda_eff", "rho_closed", "rho_quadrature"],
         rows,
     )
-    write_meta(cfg.outdir / "success_prob.meta.json", _meta(cfg, "success-prob"))
-    print(f"wrote {cfg.outdir / 'success_prob.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -567,7 +527,6 @@ def main(argv=None) -> int:
     p_val.add_argument(
         "--episodes-scale", type=float, default=1.0, help="scale all episode counts"
     )
-    p_val.add_argument("--perturb-rho", type=float, default=0.0, help=argparse.SUPPRESS)
 
     p_demo = sub.add_parser("demo-plant", help="slot-by-slot control loop replay")
     _add_common(p_demo)
@@ -598,12 +557,7 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--episodes-scale must be finite and > 0, got {args.episodes_scale}"
                 )
-            return cmd_validate(
-                cfg,
-                scale=args.episodes_scale,
-                workers=args.workers,
-                perturb_rho=args.perturb_rho,
-            )
+            return cmd_validate(cfg, scale=args.episodes_scale, workers=args.workers)
         if args.command == "demo-plant":
             return cmd_demo_plant(cfg, args.G)
         if args.command == "chi-table":

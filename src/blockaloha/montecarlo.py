@@ -15,16 +15,15 @@ import copy
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .runlength import BlockShape
+from .runlength import BlockShape, _check_prob
 from .spatial import AccessPolicy, NetworkParams, default_disk_radius, effective_densities
 
 __all__ = [
     "Estimate",
-    "EmpiricalReport",
     "episode_rng",
     "simulate_bernoulli",
     "simulate_spatial",
@@ -50,22 +49,6 @@ class Estimate:
         if self.stderr == 0.0:
             return 0.0 if self.value == reference else math.inf
         return (self.value - reference) / self.stderr
-
-
-@dataclass
-class EmpiricalReport:
-    """Named estimates produced by one simulation run."""
-
-    entries: dict[str, Estimate] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> Estimate:
-        return self.entries[key]
-
-    def as_dict(self) -> dict:
-        return {
-            k: {"value": e.value, "stderr": e.stderr, "n": e.n}
-            for k, e in self.entries.items()
-        }
 
 
 def episode_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -97,7 +80,13 @@ def _accumulate(total: dict, part: dict) -> dict:
     return total
 
 
-def _mean_estimate(total, total_sq, n) -> Estimate:
+def _moments(x: np.ndarray) -> np.ndarray:
+    """(sum, sum of squares) of a float sample; batches add them as one pair."""
+    return np.array([x.sum(), (x**2).sum()])
+
+
+def _mean_estimate(moments, n) -> Estimate:
+    total, total_sq = moments
     n = int(n)
     if n == 0:
         return Estimate(math.nan, math.nan, 0)
@@ -114,6 +103,26 @@ def _rate_estimate(count, n) -> Estimate:
         return Estimate(math.nan, math.nan, 0)
     p = count / n
     return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
+
+
+def _gap_stats(last: np.ndarray, ctrl: np.ndarray, k: int) -> dict:
+    """Gap tau = k - last at the final block k over the episodes where it is
+    controllable (``last``: latest earlier controllable block, 0 if none)."""
+    tau = (k - last)[ctrl]
+    return {
+        "tau_cnt": np.bincount(tau, minlength=k + 1)[1:].astype(float),
+        "n_ctrl": float(ctrl.sum()),
+        "tau": _moments(tau.astype(float)),
+    }
+
+
+def _gap_estimates(stats: dict, k: int) -> dict[str, Estimate]:
+    """``pcl_mean`` and ``pcl_pmf_1..k`` from the merged ``_gap_stats``."""
+    n_ctrl = stats["n_ctrl"]
+    out = {"pcl_mean": _mean_estimate(stats["tau"], n_ctrl)}
+    for tau in range(1, k + 1):
+        out[f"pcl_pmf_{tau}"] = _rate_estimate(stats["tau_cnt"][tau - 1], n_ctrl)
+    return out
 
 
 def _has_run(bits: np.ndarray, v: int) -> np.ndarray:
@@ -135,7 +144,7 @@ def simulate_bernoulli(
     virtual_block: str = "extend",
     workers: int = 1,
     batch_size: int = _DEFAULT_BATCH,
-) -> EmpiricalReport:
+) -> dict[str, Estimate]:
     """Empirical block statistics for i.i.d. Bernoulli slots with given per-block p.
 
     Per episode: blocks 1..k with p_seq probabilities, plus the virtual
@@ -149,11 +158,9 @@ def simulate_bernoulli(
     a view of the stream skipped past blocks 1..k, so its memory does not
     grow with k; the statistics are integer sums, exact in any grouping.
     """
-    p = np.asarray(p_seq, dtype=float)
+    p = _check_prob(p_seq, "p_seq")
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p_seq must be a non-empty 1-D sequence")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ValueError("p_seq entries must lie in [0, 1]")
     if virtual_block not in ("extend", "boundary"):
         raise ValueError(f"unknown virtual_block mode {virtual_block!r}")
     k, T, v = p.size, shape.T, shape.v
@@ -193,14 +200,9 @@ def simulate_bernoulli(
             "run_cnt": runs.sum(axis=0).astype(float),
             "n": float(n),
             "n_zk": float(zk.sum()),
-            "L_sum": Lz.sum(),
-            "L_sq": (Lz**2).sum(),
-            "D_sum": Dz.sum(),
-            "D_sq": (Dz**2).sum(),
-            "diff_sum": (Dz - Lz).sum(),
-            "diff_sq": ((Dz - Lz) ** 2).sum(),
-            "X_sum": X[zk].sum().astype(float),
-            "X_sq": (X[zk].astype(float) ** 2).sum(),
+            "L": _moments(Lz),
+            "D": _moments(Dz),
+            "diff": _moments(Dz - Lz),
         }
 
     def batch(rng, n):
@@ -211,16 +213,15 @@ def simulate_bernoulli(
 
     stats = _run_batches(seed, episodes, batch_size, workers, batch)
     n = stats["n"]
-    report = EmpiricalReport()
+    report = {}
     for i in range(k):
-        report.entries[f"slot_rate_b{i + 1}"] = _rate_estimate(stats["slot_cnt"][i], n * T)
-        report.entries[f"block_success_b{i + 1}"] = _rate_estimate(stats["z_cnt"][i], n)
-        report.entries[f"run_freq_b{i + 1}"] = _rate_estimate(stats["run_cnt"][i], n)
+        report[f"slot_rate_b{i + 1}"] = _rate_estimate(stats["slot_cnt"][i], n * T)
+        report[f"block_success_b{i + 1}"] = _rate_estimate(stats["z_cnt"][i], n)
+        report[f"run_freq_b{i + 1}"] = _rate_estimate(stats["run_cnt"][i], n)
     nz = stats["n_zk"]
-    report.entries["peak_latency"] = _mean_estimate(stats["L_sum"], stats["L_sq"], nz)
-    report.entries["paoi"] = _mean_estimate(stats["D_sum"], stats["D_sq"], nz)
-    report.entries["paoi_minus_pl"] = _mean_estimate(stats["diff_sum"], stats["diff_sq"], nz)
-    report.entries["first_failure_run"] = _mean_estimate(stats["X_sum"], stats["X_sq"], nz)
+    report["peak_latency"] = _mean_estimate(stats["L"], nz)
+    report["paoi"] = _mean_estimate(stats["D"], nz)
+    report["paoi_minus_pl"] = _mean_estimate(stats["diff"], nz)
     return report
 
 
@@ -324,7 +325,7 @@ def simulate_spatial(
     geometry: str = "per-slot",
     workers: int = 1,
     batch_size: int = 2_000,
-) -> EmpiricalReport:
+) -> dict[str, Estimate]:
     """One-block spatial simulation of the typical link.
 
     Interferers form a PPP of the policy's effective density on a disk;
@@ -362,11 +363,11 @@ def simulate_spatial(
 
     stats = _run_batches(seed, episodes, batch_size, workers, batch)
     n = stats["n"]
-    report = EmpiricalReport()
-    report.entries["slot_rate"] = _rate_estimate(stats["slot_cnt"], n * T)
-    report.entries["run_freq"] = _rate_estimate(stats["run_cnt"], n)
-    report.entries["block_success"] = _rate_estimate(stats["z_cnt"], n)
-    return report
+    return {
+        "slot_rate": _rate_estimate(stats["slot_cnt"], n * T),
+        "run_freq": _rate_estimate(stats["run_cnt"], n),
+        "block_success": _rate_estimate(stats["z_cnt"], n),
+    }
 
 
 def simulate_renewal_pcl(
@@ -376,7 +377,7 @@ def simulate_renewal_pcl(
     seed: int,
     workers: int = 1,
     batch_size: int = _DEFAULT_BATCH,
-) -> EmpiricalReport:
+) -> dict[str, Estimate]:
     """Simulate the controllability indicator chain and measure the final gap.
 
     Block i is controllable with its marginal probability until the first
@@ -384,40 +385,21 @@ def simulate_renewal_pcl(
     post-controllability run probabilities.  The gap tau at the final block
     is measured against the virtual controllable block 0.
     """
-    pt = np.asarray(P_tilde_seq, dtype=float)
-    cc = np.asarray(chi_C_seq, dtype=float)
+    pt = _check_prob(P_tilde_seq, "P_tilde_seq")
+    cc = _check_prob(chi_C_seq, "chi_C_seq")
     if pt.shape != cc.shape or pt.ndim != 1 or pt.size == 0:
         raise ValueError("P_tilde_seq and chi_C_seq must be equal-length 1-D sequences")
     k = pt.size
 
     def batch(rng, n):
-        has_real = np.zeros(n, dtype=bool)
         last = np.zeros(n, dtype=np.int64)
-        for i in range(k - 1):
-            prob = np.where(has_real, cc[i], pt[i])
-            ctrl = rng.random(n) < prob
-            last = np.where(ctrl, i + 1, last)
-            has_real |= ctrl
-        prob = np.where(has_real, cc[k - 1], pt[k - 1])
-        final_ctrl = rng.random(n) < prob
-        tau = (k - last)[final_ctrl]
-        counts = np.bincount(tau, minlength=k + 1)[1 : k + 1].astype(float)
-        return {
-            "tau_cnt": counts,
-            "n_ctrl": float(final_ctrl.sum()),
-            "tau_sum": float(tau.sum()),
-            "tau_sq": float((tau.astype(float) ** 2).sum()),
-            "n": float(n),
-        }
+        for i in range(k):
+            ctrl = rng.random(n) < np.where(last > 0, cc[i], pt[i])
+            if i < k - 1:
+                last = np.where(ctrl, i + 1, last)
+        return _gap_stats(last, ctrl, k)
 
-    stats = _run_batches(seed, episodes, batch_size, workers, batch)
-    report = EmpiricalReport()
-    n_ctrl = stats["n_ctrl"]
-    report.entries["pcl_mean"] = _mean_estimate(stats["tau_sum"], stats["tau_sq"], n_ctrl)
-    report.entries["ctrl_rate"] = _rate_estimate(n_ctrl, stats["n"])
-    for tau in range(1, k + 1):
-        report.entries[f"pcl_pmf_{tau}"] = _rate_estimate(stats["tau_cnt"][tau - 1], n_ctrl)
-    return report
+    return _gap_estimates(_run_batches(seed, episodes, batch_size, workers, batch), k)
 
 
 def simulate_policy_chain(
@@ -428,7 +410,7 @@ def simulate_policy_chain(
     seed: int,
     workers: int = 1,
     batch_size: int = 20_000,
-) -> EmpiricalReport:
+) -> dict[str, Estimate]:
     """Full Bernoulli-tier system simulation under a per-block policy schedule.
 
     Each episode tracks one controller: before controllability it draws
@@ -437,7 +419,7 @@ def simulate_policy_chain(
     delta_C * rho.  Validates the first-time / cumulative / instantaneous
     controllability recursions and the gap distribution at the final block.
     """
-    rho = np.asarray(rho_seq, dtype=float)
+    rho = _check_prob(rho_seq, "rho_seq")
     policies = list(policies)
     if len(policies) != rho.size or rho.size == 0:
         raise ValueError("policies and rho_seq must have equal nonzero length")
@@ -450,10 +432,6 @@ def simulate_policy_chain(
         notyet_cnt = np.zeros(K)
         ever_cnt = np.zeros(K)
         inst_cnt = np.zeros(K)
-        tau_cnt = np.zeros(K)
-        final_ctrl_n = 0.0
-        tau_sum = 0.0
-        tau_sq = 0.0
         for i, pol in enumerate(policies):
             pre = ~ever
             is_block = rng.random(n) < pol.delta_B
@@ -469,39 +447,22 @@ def simulate_policy_chain(
             inst_cnt[i] = ctrl.sum()
             ever |= ctrl
             ever_cnt[i] = ever.sum()
-            if i == K - 1:
-                tau = (i + 1 - last)[ctrl]
-                final_ctrl_n = float(ctrl.sum())
-                tau_sum = float(tau.sum())
-                tau_sq = float((tau.astype(float) ** 2).sum())
-                tau_cnt = np.bincount(tau, minlength=K + 1)[1 : K + 1].astype(float)
-            last = np.where(ctrl, i + 1, last)
+            if i < K - 1:
+                last = np.where(ctrl, i + 1, last)
         return {
             "first_cnt": first_cnt,
             "notyet_cnt": notyet_cnt,
             "ever_cnt": ever_cnt,
             "inst_cnt": inst_cnt,
-            "tau_cnt": tau_cnt,
-            "final_ctrl_n": final_ctrl_n,
-            "tau_sum": tau_sum,
-            "tau_sq": tau_sq,
             "n": float(n),
+            **_gap_stats(last, ctrl, K),
         }
 
     stats = _run_batches(seed, episodes, batch_size, workers, batch)
     n = stats["n"]
-    report = EmpiricalReport()
+    report = {}
     for i in range(K):
-        report.entries[f"pi_b{i + 1}"] = _rate_estimate(
-            stats["first_cnt"][i], stats["notyet_cnt"][i]
-        )
-        report.entries[f"P_O_b{i + 1}"] = _rate_estimate(stats["ever_cnt"][i], n)
-        report.entries[f"P_tilde_b{i + 1}"] = _rate_estimate(stats["inst_cnt"][i], n)
-    report.entries["pcl_mean"] = _mean_estimate(
-        stats["tau_sum"], stats["tau_sq"], stats["final_ctrl_n"]
-    )
-    for tau in range(1, K + 1):
-        report.entries[f"pcl_pmf_{tau}"] = _rate_estimate(
-            stats["tau_cnt"][tau - 1], stats["final_ctrl_n"]
-        )
-    return report
+        report[f"pi_b{i + 1}"] = _rate_estimate(stats["first_cnt"][i], stats["notyet_cnt"][i])
+        report[f"P_O_b{i + 1}"] = _rate_estimate(stats["ever_cnt"][i], n)
+        report[f"P_tilde_b{i + 1}"] = _rate_estimate(stats["inst_cnt"][i], n)
+    return {**report, **_gap_estimates(stats, K)}

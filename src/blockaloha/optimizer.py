@@ -59,9 +59,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"horizon K must be >= 1, got {self.K}")
-        n = round(1.0 / self.grid_step)
-        if n < 1 or abs(n * self.grid_step - 1.0) > 1e-9:
-            raise ValueError(f"grid_step must divide 1, got {self.grid_step}")
+        _unit_grid(self.grid_step, "grid_step")
         for name in ("rho1", "rho2"):
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
@@ -77,7 +75,17 @@ class OptimizerConfig:
 
     @property
     def grid_values(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, round(1.0 / self.grid_step) + 1)
+        return _unit_grid(self.grid_step, "grid_step")
+
+
+def _unit_grid(step: float, name: str) -> np.ndarray:
+    """The grid 0, step, ..., 1; ``step`` must be finite, > 0 and divide 1."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {step}")
+    n = round(1.0 / step)
+    if abs(n * step - 1.0) > 1e-9:
+        raise ValueError(f"{name} must divide 1, got {step}")
+    return np.linspace(0.0, 1.0, n + 1)
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
     }
 
 
-def _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC):
+def _evaluate_grid(P_O_prev, state, params, shape, config, dB, dS, dC):
     """Vectorized per-block evaluation pipeline over candidate arrays."""
     T = shape.T
     fields = block_recursion(P_O_prev, params, shape, dB, dS, dC)
@@ -224,7 +232,7 @@ def optimize_block(
     vals = config.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
-    fields = _evaluate_grid(k, P_O_prev, state, params, shape, config, dB, dS, dC)
+    fields = _evaluate_grid(P_O_prev, state, params, shape, config, dB, dS, dC)
     cost = fields["cost"]
     ties = np.flatnonzero(cost >= cost.max() - _TIE_TOL)
     order = np.lexsort((dC[ties], -dS[ties], dB[ties]))

@@ -57,6 +57,10 @@ def test_config_error_exit_code(tmp_path):
         assert run_cli("validate", "--outdir", str(tmp_path), "--seed", seed) == 2
     assert run_cli("demo-plant", "--outdir", str(tmp_path), "--seed", "-3") == 2
     assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "seed=-1") == 2
+    # a grid step must be finite, > 0 and divide 1
+    for step in ("0", "nan"):
+        assert run_cli("optimize", "--outdir", str(tmp_path), "--set", f"grid_step={step}") == 2
+        assert run_cli("chi-table", "--outdir", str(tmp_path), "--x-step", step) == 2
     assert load_run_config(None, {"seed": str(2**64 - 8)}).seed == 2**64 - 8
 
 
@@ -175,16 +179,14 @@ def test_validate_equal_estimates_score_z_zero(tmp_path):
     assert passed == "True"
 
 
-def test_validate_perturbation_fails(tmp_path):
-    code = run_cli(
-        "validate",
-        "--outdir",
-        str(tmp_path),
-        "--episodes-scale",
-        "0.05",
-        "--perturb-rho",
-        "0.05",
-    )
+def test_validate_perturbation_fails(tmp_path, monkeypatch):
+    # a 5% bias on every z-tested analytic reference must fail the suite
+    import blockaloha.cli
+
+    stat_row = blockaloha.cli._stat_row
+    monkeypatch.setattr(blockaloha.cli, "_stat_row",
+                        lambda name, analytic, est: stat_row(name, analytic * 1.05, est))
+    code = run_cli("validate", "--outdir", str(tmp_path), "--episodes-scale", "0.05")
     assert code == 1
 
 
@@ -203,7 +205,7 @@ def test_validate_reads_latency_references_from_history_state(monkeypatch):
     for module in (blockaloha.cli, blockaloha.latency):
         for name in ("expected_peak_latency", "expected_paoi", "expected_pcl"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    rows = {r.name: r.analytic for r in _validation_rows(load_run_config(), 1e-3, 1, 0.0)}
+    rows = {r.name: r.analytic for r in _validation_rows(load_run_config(), 1e-3, 1)}
     monkeypatch.undo()
     for label, p in (("const_p0.5", (0.5, 0.5, 0.5)), ("varying", (0.9, 0.1, 0.8))):
         hist = BlockHistory(5, p, (0,) * 3, (0,) * 3)

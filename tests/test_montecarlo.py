@@ -89,7 +89,7 @@ def test_bernoulli_thread_count_independent():
     shape = BlockShape(5, 3)
     a = simulate_bernoulli((0.6, 0.4), shape, 60_000, seed=14, workers=1, batch_size=7_000)
     b = simulate_bernoulli((0.6, 0.4), shape, 60_000, seed=14, workers=4, batch_size=7_000)
-    assert a.as_dict() == b.as_dict()
+    assert a == b
 
 
 def test_renewal_constant_regime():
@@ -358,6 +358,26 @@ def test_spatial_rejects_bad_arguments(bad):
     with pytest.raises(ValueError):
         simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), BlockShape(3, 1), 10, seed=1,
                          **bad)
+
+
+CHAIN = (BlockShape(3, 1), [AccessPolicy(1.0, 0.0, 0.0)] * 2)
+
+
+@pytest.mark.parametrize(
+    "tier, args",
+    [
+        pytest.param(simulate_bernoulli, ([0.5, math.nan], BlockShape(3, 1)), id="bern-nan"),
+        pytest.param(simulate_renewal_pcl, ([0.5, 1.7], [0.2, 0.3]), id="renewal-above-1"),
+        pytest.param(simulate_renewal_pcl, ([0.5, 0.7], [0.2, -0.3]), id="renewal-negative"),
+        pytest.param(simulate_renewal_pcl, ([0.5, 0.7], [math.nan, 0.3]), id="renewal-nan"),
+        pytest.param(simulate_policy_chain, (*CHAIN, [0.5, math.nan]), id="chain-nan"),
+        pytest.param(simulate_policy_chain, (*CHAIN, [0.5, 1.2]), id="chain-above-1"),
+        pytest.param(simulate_policy_chain, (*CHAIN, [-0.1, 0.5]), id="chain-negative"),
+    ],
+)
+def test_tiers_reject_bad_probabilities(tier, args):
+    with pytest.raises(ValueError):
+        tier(*args, episodes=10, seed=1)
 
 
 def test_bernoulli_reproduces_spatial_block_statistics():

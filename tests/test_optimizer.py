@@ -41,6 +41,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(grid_step=0.3)
     with pytest.raises(ValueError):
+        OptimizerConfig(grid_step=0.0)
+    with pytest.raises(ValueError):
         OptimizerConfig(rho1=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(rho2=1.0)
@@ -134,7 +136,7 @@ def test_vectorized_matches_scalar_on_random_candidates():
     hist = BlockHistory(SHAPE.T, (0.9, 0.85), (0.5, 0.6), (0.4, 0.45))
     P_prev = 0.55
     dB, dS, dC = rng.random(100), rng.random(100), rng.random(100)
-    fields = _evaluate_grid(3, P_prev, state_of(hist, cfg), PARAMS, SHAPE, cfg, dB, dS, dC)
+    fields = _evaluate_grid(P_prev, state_of(hist, cfg), PARAMS, SHAPE, cfg, dB, dS, dC)
     for i in rng.choice(100, size=25, replace=False):
         rec = evaluate_candidate(
             3, AccessPolicy(dB[i], dS[i], dC[i]), P_prev, hist, PARAMS, SHAPE, cfg
@@ -203,7 +205,7 @@ def test_grid_rank_mode_runs_and_orders():
     vals = cfg.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     empty = HistoryState.start(SHAPE.T, cfg.virtual_block, cfg.eta_pcl)
-    fields = _evaluate_grid(1, 0.0, empty, PARAMS, SHAPE, cfg,
+    fields = _evaluate_grid(0.0, empty, PARAMS, SHAPE, cfg,
                             B.ravel(), S.ravel(), C.ravel())
     theta = fields["theta_curr"]
     score = np.where(fields["block_success_prob"] > 0,
@@ -229,7 +231,7 @@ def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape)
     dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
     empty = HistoryState.start(shape.T, cfg.virtual_block, cfg.eta_pcl)
     for P_prev in (0.0, 0.55, 1.0):
-        fields = _evaluate_grid(1, P_prev, empty, params, shape, cfg, dB, dS, dC)
+        fields = _evaluate_grid(P_prev, empty, params, shape, cfg, dB, dS, dC)
         for i in range(dB.size):
             one = block_recursion(P_prev, params, shape, dB[i : i + 1], dS[i : i + 1],
                                   dC[i : i + 1])
@@ -280,6 +282,6 @@ def test_current_block_latency_is_exactly_zero_at_T1():
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     state = HistoryState.start(shape.T, cfg.virtual_block, cfg.eta_pcl)
     for P_prev in (0.0, 0.4):
-        theta = _evaluate_grid(1, P_prev, state, PARAMS, shape, cfg,
+        theta = _evaluate_grid(P_prev, state, PARAMS, shape, cfg,
                                B.ravel(), S.ravel(), C.ravel())["theta_curr"]
         assert (theta[~np.isnan(theta)] >= 0.0).all()
