@@ -5,11 +5,14 @@ input of a successful block, the peak-control-latency distribution between
 controllable blocks, and the truncated-geometric term ``_ex_term`` that the
 peak formulas and the optimizer's current-block latency share.
 
-``BlockHistory`` holds the per-block series and is what the array formulas
-take.  ``HistoryState`` carries the same information forward as a fixed set
-of running sums, so a horizon driver can append a block and read the next
-block's gap statistics in O(1 + floor(eta_pcl)) work however long the
-history has grown.
+``HistoryState`` is the one implementation of the history quantities: it
+carries blocks 1..n as a fixed set of running sums, so a horizon driver can
+append a block and read the next block's gap statistics in O(1 +
+floor(eta_pcl)) work however long the history has grown.  ``BlockHistory``
+is the input record of the public convenience functions
+``expected_peak_latency``, ``expected_paoi`` and ``pcl_pmf``; the first two
+fold it into a ``HistoryState``.  The array forms of the peak formulas live
+in the tests as an independent oracle.
 
 Block 0 is a virtual successful block that anchors the gap variables.  Its
 slot statistics are not pinned down by the model, so two conventions are
@@ -27,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .runlength import _check_prob
+
 __all__ = [
     "BlockHistory",
     "HistoryState",
@@ -42,15 +47,6 @@ VIRTUAL_BLOCK_MODES = ("extend", "boundary")
 
 class DegenerateHistoryError(ValueError):
     """Raised when every candidate previous controllable block has probability 0."""
-
-
-def _as_prob_seq(seq, name):
-    arr = np.asarray(seq, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D sequence")
-    if arr.size and not ((arr >= 0.0) & (arr <= 1.0)).all():
-        raise ValueError(f"{name} entries must lie in [0, 1]")
-    return arr
 
 
 def _as_prob(value, name) -> float:
@@ -77,14 +73,13 @@ class BlockHistory:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        p = _as_prob_seq(self.p, "p")
-        pt = _as_prob_seq(self.P_O_tilde, "P_O_tilde")
-        cc = _as_prob_seq(self.chi_C, "chi_C")
-        if not (len(p) == len(pt) == len(cc)):
+        for name in ("p", "P_O_tilde", "chi_C"):
+            arr = _check_prob(getattr(self, name), name)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D sequence")
+            object.__setattr__(self, name, tuple(map(float, arr)))
+        if not (len(self.p) == len(self.P_O_tilde) == len(self.chi_C)):
             raise ValueError("history sequences must share one length")
-        object.__setattr__(self, "p", tuple(map(float, p)))
-        object.__setattr__(self, "P_O_tilde", tuple(map(float, pt)))
-        object.__setattr__(self, "chi_C", tuple(map(float, cc)))
 
     def __len__(self) -> int:
         return len(self.p)
@@ -128,9 +123,9 @@ class HistoryState:
     (``gap_sums``, None until block 1 fixes the virtual block's p in
     ``extend`` mode), and, for the peak control latency, the weight total,
     the tau-weighted total and the last floor(eta_pcl) pairs
-    (P_O_tilde, 1 - chi_C), the virtual block counting as (1, 1).  Values
-    agree with the ``BlockHistory`` formulas to rounding; they are summed
-    in another order.
+    (P_O_tilde, 1 - chi_C), the virtual block counting as (1, 1).  Its pcl
+    values agree with ``pcl_pmf`` to rounding; they are summed in another
+    order.
     """
 
     T: int
@@ -219,43 +214,6 @@ class HistoryState:
         return below / self.pcl_total, self.pcl_tau_sum / self.pcl_total
 
 
-def _padded_q_powers(hist: BlockHistory, virtual_block: str):
-    """(p, q, q^T) arrays indexed 0..k with the virtual block 0 prepended.
-
-    The current block k must have p_k > 0: the peak formulas condition on
-    its success.
-    """
-    if virtual_block not in VIRTUAL_BLOCK_MODES:
-        raise ValueError(f"virtual_block must be one of {VIRTUAL_BLOCK_MODES}")
-    if len(hist) == 0:
-        raise ValueError("history must cover at least one block")
-    if hist.p[-1] <= 0.0:
-        raise ValueError("current block must have p_k > 0")
-    p0 = hist.p[0] if virtual_block == "extend" else 1.0
-    p = np.concatenate(([p0], hist.p))
-    q = 1.0 - p
-    return p, q, q**hist.T
-
-
-def _suffix_products(qT: np.ndarray, k: int) -> np.ndarray:
-    """suffix[m] = prod_{i=m}^{k-1} q_i^T for m = 0..k (factors <= 1, so
-    underflow of long products rounds to an exact 0 contribution)."""
-    suffix = np.ones(k + 1)
-    suffix[:k] = np.multiply.accumulate(qT[k - 1 :: -1])[::-1]
-    return suffix
-
-
-def _gap_weights(qT: np.ndarray, k: int) -> np.ndarray:
-    """weights[m] = (1 - q_m^T) prod_{i=m+1}^{k-1} q_i^T for m = 0..k-1.
-
-    weights[k - kappa] is the probability that the most recent successful
-    block before k is block k-kappa (sub-stochastic in 'extend' mode, where
-    the all-failed event keeps the leftover mass).
-    """
-    suffix = _suffix_products(qT, k)
-    return (1.0 - qT[:k]) * suffix[1 : k + 1]
-
-
 def _ex_term(p, T: int) -> np.ndarray:
     """Elementwise q/p - T q^T / (1 - q^T) with q = 1 - p; 0 where p is 0.
 
@@ -274,39 +232,37 @@ def _ex_term(p, T: int) -> np.ndarray:
     return q / safe - T * qT / (1.0 - qT)
 
 
+def _final_block_peaks(hist: BlockHistory, virtual_block: str) -> tuple[float, float]:
+    """``HistoryState.peak_metrics`` of the last block of ``hist`` given blocks before it."""
+    if len(hist) == 0:
+        raise ValueError("history must cover at least one block")
+    state = HistoryState.fold(
+        hist.T, virtual_block, 0.0, hist.p[:-1], hist.P_O_tilde[:-1], hist.chi_C[:-1]
+    )
+    return state.peak_metrics(hist.p[-1])
+
+
 def expected_peak_latency(hist: BlockHistory, virtual_block: str = "extend") -> float:
-    """Expected peak latency of the first input of block k, given Z(k)=1.
+    """Expected peak latency of the first input of block k = len(hist), given Z(k)=1.
 
     Sum over the gap kappa to the previous successful block of the trailing
     failure run of that block, the T(kappa-1) failed blocks in between, and
     the leading failure run of block k, plus the success slot itself.
+    Folds blocks 1..k-1 into a ``HistoryState`` one block at a time, a
+    Python loop (8 ms for 3,000 blocks on one core of a 2-core x86 VM); to
+    read every prefix of a long history, extend one state with
+    ``HistoryState.extended`` instead.
     """
-    T = hist.T
-    k = len(hist)
-    p, q, qT = _padded_q_powers(hist, virtual_block)
-    x_term = float(_ex_term(p[k], T))
-    w = _gap_weights(qT, k)
-    kappa = np.arange(k, 0, -1)  # kappa for m = k - kappa = 0..k-1
-    # q_m / p_m only matters where the gap weight is nonzero (p_m > 0 there)
-    trailing = np.where(w > 0.0, q[:k] / np.where(p[:k] > 0.0, p[:k], 1.0), 0.0)
-    s1 = float(np.sum(w * (trailing + T * kappa)))
-    s2 = float(np.sum(_suffix_products(qT, k)[:k]))
-    return s1 - T * s2 - T + x_term + 1.0
+    return _final_block_peaks(hist, virtual_block)[0]
 
 
 def expected_paoi(hist: BlockHistory, virtual_block: str = "extend") -> float:
     """Expected peak age of information of the first input of block k, given Z(k)=1.
 
     kappa full blocks of staleness plus the leading failure run of block k
-    plus the success slot.
+    plus the success slot.  Costs the same fold as ``expected_peak_latency``.
     """
-    T = hist.T
-    k = len(hist)
-    p, _, qT = _padded_q_powers(hist, virtual_block)
-    x_term = float(_ex_term(p[k], T))
-    w = _gap_weights(qT, k)
-    kappa = np.arange(k, 0, -1)
-    return T * float(np.sum(kappa * w)) + x_term + 1.0
+    return _final_block_peaks(hist, virtual_block)[1]
 
 
 def _pcl_weights(past_P_tilde, past_chi_C) -> np.ndarray:

@@ -10,8 +10,10 @@ distribution, so each block costs the same however long the horizon runs.
 The grid scan is vectorized over candidates and is the only path that
 computes the per-candidate quantities.  Its controllability recursion,
 ``block_recursion``, is also what ``validate`` evaluates its policy chain
-with; the tests hold both to a scalar reference of the same pipeline built
-on the array-based ``BlockHistory``.
+with.  The tests hold both to a scalar reference of the same pipeline that
+computes the peak latency and age with array formulas of its own;
+``BlockHistory`` is only the input record of the public convenience
+functions in ``latency``, not a second form of the formulas.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ class OptimizerConfig:
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {val}")
-        if self.eta_curr < 0.0 or self.eta_pcl < 0.0:
-            raise ValueError("thresholds must be >= 0")
+        if not self.eta_curr >= 0.0:  # NaN fails it too
+            raise ValueError(f"eta_curr must be >= 0, got {self.eta_curr}")
+        if not 0.0 <= self.eta_pcl < math.inf:
+            raise ValueError(f"eta_pcl must be finite and >= 0, got {self.eta_pcl}")
         if self.cdf_mode not in CDF_MODES:
             raise ValueError(f"cdf_mode must be one of {CDF_MODES}")
         if self.history_scalar not in HISTORY_SCALAR_MODES:

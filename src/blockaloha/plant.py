@@ -39,15 +39,18 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray, v: int) -> np.ndarray:
     return np.hstack(blocks[::-1])
 
 
+def _full_row_rank(psi: np.ndarray) -> bool:
+    """Full row rank: as many singular values above _SVD_CUTOFF x the largest as rows."""
+    s = np.linalg.svd(psi, compute_uv=False)
+    return bool(s.size and s[0] > 0.0 and np.sum(s > _SVD_CUTOFF * s[0]) == psi.shape[0])
+
+
 def controllability_index(A: np.ndarray, B: np.ndarray) -> int | None:
     """Smallest v with rank [A^(v-1)B ... B] = n, or None if uncontrollable."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n = A.shape[0]
-    for v in range(1, n + 1):
-        psi = controllability_matrix(A, B, v)
-        s = np.linalg.svd(psi, compute_uv=False)
-        if s.size and s[0] > 0 and np.sum(s > _SVD_CUTOFF * s[0]) == n:
+    for v in range(1, A.shape[0] + 1):
+        if _full_row_rank(controllability_matrix(A, B, v)):
             return v
     return None
 
@@ -63,6 +66,8 @@ class PlantModel:
     B: np.ndarray
     x_des: np.ndarray
     v: int
+    # controllability matrix [A^(v-1) B ... B], built once by the rank check
+    psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -78,8 +83,7 @@ class PlantModel:
         if self.v < 1:
             raise ValueError(f"controllability index v must be >= 1, got {self.v}")
         psi = controllability_matrix(A, B, self.v)
-        s = np.linalg.svd(psi, compute_uv=False)
-        if s[0] == 0.0 or np.sum(s > _SVD_CUTOFF * s[0]) < n:
+        if not _full_row_rank(psi):
             raise ValueError(
                 f"controllability matrix with v={self.v} is rank deficient; "
                 "the pair (A, B) cannot reach an arbitrary state in v steps"
@@ -87,6 +91,7 @@ class PlantModel:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "x_des", x_des)
+        object.__setattr__(self, "psi", psi)
 
     @property
     def n(self) -> int:
@@ -95,10 +100,6 @@ class PlantModel:
     @property
     def m(self) -> int:
         return self.B.shape[1]
-
-    @cached_property
-    def psi(self) -> np.ndarray:
-        return controllability_matrix(self.A, self.B, self.v)
 
     @cached_property
     def psi_pinv(self) -> np.ndarray:

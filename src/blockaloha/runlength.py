@@ -44,7 +44,7 @@ class BlockShape:
 
 def _check_prob(x, name="x"):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
     return arr
 

@@ -45,8 +45,8 @@ class NetworkParams:
     def __post_init__(self):
         for name in ("lam", "alpha", "gamma", "xi", "N0", "r0"):
             val = getattr(self, name)
-            if not val > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {val}")
+            if not 0.0 < val < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {val}")
         if self.alpha <= 2.0:
             raise ValueError(
                 f"path-loss exponent alpha must exceed 2 (interference integral "

@@ -4,9 +4,11 @@ These deliberately avoid the library's own code paths: run detection walks
 bit patterns, the latency/age expectations enumerate every outcome of
 the block process and weight it by its Bernoulli probability, and the
 spatial samplers build every interferer's power as its own array entry.
-The scalar reference pipeline at the end evaluates one candidate policy at
-a time from the library's scalar building blocks and the array formulas on
-``BlockHistory``; the optimizer's vectorized grid scan and its running-sum
+The array forms of the peak latency and peak age sum the gap weights of a
+whole ``BlockHistory`` at once, where the library's ``HistoryState`` keeps
+running sums.  The scalar reference pipeline at the end evaluates one
+candidate policy at a time from the library's scalar building blocks and
+those array forms; the optimizer's vectorized grid scan and its running-sum
 ``HistoryState`` are tested against it.
 """
 
@@ -24,12 +26,10 @@ from blockaloha import (
     default_disk_radius,
     effective_densities,
     episode_rng,
-    expected_paoi,
-    expected_peak_latency,
     pcl_pmf,
     slot_success_prob,
 )
-from blockaloha.latency import _pcl_weights
+from blockaloha.latency import VIRTUAL_BLOCK_MODES, _ex_term, _pcl_weights
 
 
 def max_run(bits) -> int:
@@ -96,6 +96,81 @@ def enumerate_latency(p_hist, T: int, mode: str):
         e_age += weight * (kappa * T + x + 1)
         p_cond += weight
     return e_latency / p_cond, e_age / p_cond
+
+
+# -- array forms of the peak latency and peak age --------------------------
+
+
+def _padded_q_powers(hist, virtual_block):
+    """(p, q, q^T) arrays indexed 0..k with the virtual block 0 prepended.
+
+    The current block k must have p_k > 0: the peak formulas condition on
+    its success.
+    """
+    if virtual_block not in VIRTUAL_BLOCK_MODES:
+        raise ValueError(f"virtual_block must be one of {VIRTUAL_BLOCK_MODES}")
+    if len(hist) == 0:
+        raise ValueError("history must cover at least one block")
+    if hist.p[-1] <= 0.0:
+        raise ValueError("current block must have p_k > 0")
+    p0 = hist.p[0] if virtual_block == "extend" else 1.0
+    p = np.concatenate(([p0], hist.p))
+    q = 1.0 - p
+    return p, q, q**hist.T
+
+
+def _suffix_products(qT, k):
+    """suffix[m] = prod_{i=m}^{k-1} q_i^T for m = 0..k (factors <= 1, so
+    underflow of long products rounds to an exact 0 contribution)."""
+    suffix = np.ones(k + 1)
+    suffix[:k] = np.multiply.accumulate(qT[k - 1 :: -1])[::-1]
+    return suffix
+
+
+def _gap_weights(qT, k):
+    """weights[m] = (1 - q_m^T) prod_{i=m+1}^{k-1} q_i^T for m = 0..k-1.
+
+    weights[k - kappa] is the probability that the most recent successful
+    block before k is block k-kappa (sub-stochastic in 'extend' mode, where
+    the all-failed event keeps the leftover mass).
+    """
+    suffix = _suffix_products(qT, k)
+    return (1.0 - qT[:k]) * suffix[1 : k + 1]
+
+
+def array_peak_latency(hist, virtual_block="extend") -> float:
+    """Expected peak latency of the first input of block k = len(hist), given Z(k)=1.
+
+    Sum over the gap kappa to the previous successful block of the trailing
+    failure run of that block, the T(kappa-1) failed blocks in between, and
+    the leading failure run of block k, plus the success slot itself.
+    """
+    T = hist.T
+    k = len(hist)
+    p, q, qT = _padded_q_powers(hist, virtual_block)
+    x_term = float(_ex_term(p[k], T))
+    w = _gap_weights(qT, k)
+    kappa = np.arange(k, 0, -1)  # kappa for m = k - kappa = 0..k-1
+    # q_m / p_m only matters where the gap weight is nonzero (p_m > 0 there)
+    trailing = np.where(w > 0.0, q[:k] / np.where(p[:k] > 0.0, p[:k], 1.0), 0.0)
+    s1 = float(np.sum(w * (trailing + T * kappa)))
+    s2 = float(np.sum(_suffix_products(qT, k)[:k]))
+    return s1 - T * s2 - T + x_term + 1.0
+
+
+def array_paoi(hist, virtual_block="extend") -> float:
+    """Expected peak age of information of the first input of block k, given Z(k)=1.
+
+    kappa full blocks of staleness plus the leading failure run of block k
+    plus the success slot.
+    """
+    T = hist.T
+    k = len(hist)
+    p, _, qT = _padded_q_powers(hist, virtual_block)
+    x_term = float(_ex_term(p[k], T))
+    w = _gap_weights(qT, k)
+    kappa = np.arange(k, 0, -1)
+    return T * float(np.sum(kappa * w)) + x_term + 1.0
 
 
 def sample_sinr_success(params, lambda_eff, rng, disk_radius=None) -> bool:
@@ -325,8 +400,8 @@ def history_state(hist, virtual_block, eta_pcl):
 def evaluate_candidate(k, policy, P_O_prev, hist, params, shape, config) -> MetricsRecord:
     """Scalar reference evaluation of one candidate policy at block k.
 
-    Composes the scalar operations step by step on the array-based
-    ``BlockHistory``.  A degenerate candidate (no regime can transmit)
+    Composes the scalar operations step by step on a ``BlockHistory`` and
+    reads the peak latency and age from the array forms above.  A degenerate candidate (no regime can transmit)
     yields zero CDF terms instead of an error so a grid scan never aborts.
     ``hist`` covers blocks 1..k-1 (None for k=1).
     """
@@ -383,6 +458,6 @@ def evaluate_candidate(k, policy, P_O_prev, hist, params, shape, config) -> Metr
     full = hist.extended(p_scalar, record.P_O_tilde, record.chi_C)
     return replace(
         record,
-        theta_pl=expected_peak_latency(full, config.virtual_block),
-        theta_pa=expected_paoi(full, config.virtual_block),
+        theta_pl=array_peak_latency(full, config.virtual_block),
+        theta_pa=array_paoi(full, config.virtual_block),
     )

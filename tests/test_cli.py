@@ -46,7 +46,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_run_config(None, {"nope": "1"})
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "alpha=1.5") == 2
     assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "bogus=1") == 2
     assert run_cli("validate", "--outdir", str(tmp_path), "--workers", "0") == 2
@@ -61,6 +61,11 @@ def test_config_error_exit_code(tmp_path):
     for step in ("0", "nan"):
         assert run_cli("optimize", "--outdir", str(tmp_path), "--set", f"grid_step={step}") == 2
         assert run_cli("chi-table", "--outdir", str(tmp_path), "--x-step", step) == 2
+    # thresholds: eta_curr >= 0, eta_pcl finite and >= 0; network constants finite and > 0
+    for setting in ("eta_curr=nan", "eta_pcl=nan", "eta_pcl=inf", "alpha=inf", "lambda=inf"):
+        assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "K=2",
+                       "--set", setting) == 2
+        assert "config error:" in capsys.readouterr().err
     assert load_run_config(None, {"seed": str(2**64 - 8)}).seed == 2**64 - 8
 
 
@@ -192,15 +197,15 @@ def test_validate_perturbation_fails(tmp_path, monkeypatch):
 
 def test_validate_reads_latency_references_from_history_state(monkeypatch):
     # the peak latency/age and pcl rows must check the running sums the
-    # optimizer uses, not the BlockHistory array formulas
+    # optimizer uses, and match the array-form oracles on BlockHistory
     import blockaloha.cli
     import blockaloha.latency
-    from blockaloha import BlockHistory, expected_paoi, expected_peak_latency
+    from blockaloha import BlockHistory
     from blockaloha.cli import _validation_rows
-    from oracles import expected_pcl
+    from oracles import array_paoi, array_peak_latency, expected_pcl
 
     def refuse(*args, **kwargs):
-        raise AssertionError("validate called an array formula")
+        raise AssertionError("validate called a BlockHistory convenience function")
 
     for module in (blockaloha.cli, blockaloha.latency):
         for name in ("expected_peak_latency", "expected_paoi", "expected_pcl"):
@@ -210,8 +215,8 @@ def test_validate_reads_latency_references_from_history_state(monkeypatch):
     for label, p in (("const_p0.5", (0.5, 0.5, 0.5)), ("varying", (0.9, 0.1, 0.8))):
         hist = BlockHistory(5, p, (0,) * 3, (0,) * 3)
         assert rows[f"bern_peak_latency_{label}"] == pytest.approx(
-            expected_peak_latency(hist), rel=1e-12)
-        assert rows[f"bern_paoi_{label}"] == pytest.approx(expected_paoi(hist), rel=1e-12)
+            array_peak_latency(hist), rel=1e-12)
+        assert rows[f"bern_paoi_{label}"] == pytest.approx(array_paoi(hist), rel=1e-12)
     hist = BlockHistory(5, (0.5,) * 12, (0.35,) * 12, (0.35,) * 12)
     assert rows["renewal_pcl_mean_const"] == pytest.approx(expected_pcl(hist), rel=1e-12)
 

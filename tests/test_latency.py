@@ -116,6 +116,12 @@ def test_empty_history_rejected():
         pcl_pmf(BlockHistory(5, (), (), ()))
 
 
+def test_unknown_virtual_block_rejected():
+    for formula in (expected_peak_latency, expected_paoi):
+        with pytest.raises(ValueError, match="virtual_block"):
+            formula(hist_of((0.5, 0.6)), "nope")
+
+
 # ---------------------------------------------------------------- pcl
 
 

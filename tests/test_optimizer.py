@@ -50,6 +50,10 @@ def test_config_validation():
         OptimizerConfig(K=0)
     with pytest.raises(ValueError):
         OptimizerConfig(cdf_mode="nope")
+    for bad in (dict(eta_curr=math.nan), dict(eta_pcl=math.nan), dict(eta_pcl=math.inf)):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**bad)
+    assert OptimizerConfig(eta_curr=math.inf).eta_curr == math.inf  # no latency threshold
 
 
 def test_full_block_access_composition_identity():

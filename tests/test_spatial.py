@@ -39,6 +39,13 @@ def test_network_params_validation():
         params(gamma=-0.1)
 
 
+@pytest.mark.parametrize("name", ["lam", "alpha", "gamma", "xi", "N0", "r0"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_network_params_reject_non_finite_or_non_positive(name, bad):
+    with pytest.raises(ValueError, match=name):
+        params(**{name: bad})
+
+
 def test_access_policy_validation():
     with pytest.raises(ValueError):
         AccessPolicy(1.2, 0.0, 0.0)
