@@ -37,6 +37,7 @@ from .spatial import (
     AccessPolicy,
     NetworkParams,
     interference_integral,
+    interference_tail,
     parse_power_watts,
     slot_success_prob,
 )
@@ -241,6 +242,19 @@ def _exact_row(name: str, target: float, value: float, tol: float) -> _Row:
     return _Row(name, target, value, math.nan, f"|diff| <= {tol}", abs(value - target) <= tol)
 
 
+# validate's spatial tier: the disk radius (m), the episodes of its drawn
+# lambda x 1 call and of its fading-integrated lambda x 2 call (the smallest
+# multiple of 50 whose standard error at the defaults is at most the drawn
+# 20,000 episodes' on each of the 14 seeds under benchmarks/reference), and
+# the rows of the drawn call, which leave out the interferers beyond the disk
+_DISK_RADIUS = 1500.0
+_SPATIAL_EPISODES = 20_000
+_INTEGRATED_EPISODES = 6_350
+_TRUNCATED_ROWS = (
+    "spatial_slot_rate_1", "spatial_run_freq_full_access", "spatial_vs_bernoulli_run_freq",
+)
+
+
 def _validation_rows(cfg: RunConfig, scale: float, workers: int):
     params, shape, seed = cfg.params, cfg.shape, cfg.seed
     rows: list[_Row] = []
@@ -334,17 +348,23 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int):
     rows.append(_stat_row("renewal_pcl_pmf_tau1", pmf_tau1, rep["pcl_pmf_1"]))
 
     # -- spatial tier ----------------------------------------------------
-    # disk radius 1500 m keeps the far-field truncation bias ~6e-4, an
-    # order below the 3-sigma band at these episode counts
-    spatial_episodes = max(1, int(20_000 * scale))
+    # The lambda x 1 rows draw every fading, the independent check of the
+    # fading model; their relative truncation bias 1 - exp(-lambda A_out(R)),
+    # ~6.5e-4 at the defaults (in validation.meta.json), is an order below
+    # the 3-sigma band.  The lambda x 2 row integrates the fading out and
+    # adds the outside field exactly, so it has no truncation bias.
+    spatial_episodes = max(1, int(_SPATIAL_EPISODES * scale))
     full = AccessPolicy(1.0, 0.0, 0.0)
-    for i, lam_scale in enumerate((1.0, 2.0)):
+    for i, (lam_scale, fading, episodes) in enumerate((
+        (1.0, "drawn", spatial_episodes),
+        (2.0, "integrated", max(1, int(_INTEGRATED_EPISODES * scale))),
+    )):
         p = NetworkParams(
             params.lam * lam_scale, params.alpha, params.gamma, params.xi, params.N0, params.r0
         )
         rep = simulate_spatial(
-            p, full, shape, spatial_episodes, seed + 5 + i, disk_radius=1500.0,
-            workers=workers,
+            p, full, shape, episodes, seed + 5 + i, disk_radius=_DISK_RADIUS,
+            workers=workers, fading=fading,
         )
         analytic = slot_success_prob(p, p.lam)
         rows.append(_stat_row(f"spatial_slot_rate_{i + 1}", analytic, rep["slot_rate"]))
@@ -370,6 +390,11 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int):
 
 def cmd_validate(cfg: RunConfig, scale: float = 1.0, workers: int = 1) -> int:
     """Analytic-vs-Monte-Carlo comparison suite; nonzero exit on any failure."""
+    try:
+        tail = interference_tail(cfg.params, _DISK_RADIUS)
+    except ValueError as exc:
+        raise ConfigError(f"validate's spatial disk: {exc}") from exc
+    bias = -math.expm1(-cfg.params.lam * tail)
     rows = _validation_rows(cfg, scale, workers)
     comments = [
         "analytic vs Monte Carlo validation suite",
@@ -380,7 +405,8 @@ def cmd_validate(cfg: RunConfig, scale: float = 1.0, workers: int = 1) -> int:
     header = ["name", "analytic", "empirical", "z", "criterion", "pass"]
     n_fail = sum(not r.passed for r in rows)
     _emit(cfg, "validate", "validation", comments, header, [astuple(r) for r in rows],
-          rows=len(rows), failures=n_fail, episodes_scale=scale)
+          rows=len(rows), failures=n_fail, episodes_scale=scale,
+          spatial_truncation_bias={name: bias for name in _TRUNCATED_ROWS})
     width = max(len(r.name) for r in rows)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"

@@ -3,7 +3,8 @@
 Bernoulli tier: slot outcomes drawn from given per-block success
 probabilities, measuring empirical run, latency, age, and controllability
 statistics.  Spatial tier: full PPP + Rayleigh fading + SINR simulation of
-the typical link.  All estimators are seed-deterministic and independent of
+the typical link, or, with the fading integrated out, the average of each
+slot's success probability given its interferer positions.  All estimators are seed-deterministic and independent of
 the worker count: episodes are split into fixed-size batches, each batch
 gets its own counter-based random stream keyed by (seed, batch index), and
 sufficient statistics are merged in batch order.
@@ -19,8 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runlength import BlockShape, _check_prob
-from .spatial import AccessPolicy, NetworkParams, default_disk_radius, effective_densities
+from .runlength import BlockShape, _check_prob, run_probability
+from .spatial import (
+    AccessPolicy,
+    NetworkParams,
+    default_disk_radius,
+    effective_densities,
+    interference_tail,
+    noise_exponent,
+)
 
 __all__ = [
     "Estimate",
@@ -95,6 +103,27 @@ def _mean_estimate(moments, n) -> Estimate:
         return Estimate(mean, math.nan, 1)
     var = max(0.0, (total_sq - n * mean**2) / (n - 1))
     return Estimate(mean, math.sqrt(var / n), n)
+
+
+def _centered(x: np.ndarray) -> list:
+    """[(count, sum, sum of squared deviations from the mean)] of a float
+    sample; batches concatenate these lists."""
+    return [(x.size, x.sum(), ((x - x.mean()) ** 2).sum())]
+
+
+def _pooled_estimate(parts: list) -> Estimate:
+    """Mean and standard error of the samples behind ``_centered`` parts.
+
+    The parts pool their squared deviations (Chan, Golub & LeVeque 1983),
+    so a nearly constant sample keeps its variance, which the difference of
+    ``_moments`` sums loses to cancellation.
+    """
+    n = sum(count for count, _, _ in parts)
+    mean = sum(total for _, total, _ in parts) / n
+    if n == 1:
+        return Estimate(mean, math.nan, 1)
+    sq_dev = sum(ss + count * (total / count - mean) ** 2 for count, total, ss in parts)
+    return Estimate(mean, math.sqrt(sq_dev / (n - 1) / n), n)
 
 
 def _rate_estimate(count, n) -> Estimate:
@@ -237,10 +266,15 @@ def _faded_sums(rng, path_loss: np.ndarray, counts: np.ndarray, out: np.ndarray)
         chunk = fading[: path_loss.size - lo]
         rng.standard_exponential(out=chunk)
         np.multiply(path_loss[lo : lo + chunk.size], chunk, out=out[lo : lo + chunk.size])
+    return _cell_sums(out, counts)
+
+
+def _cell_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Cell c's sum of the next counts[c] entries of ``values`` (0 if empty)."""
     sums = np.zeros(counts.size)
-    if out.size:
+    if values.size:
         nonempty = counts > 0
-        sums[nonempty] = np.add.reduceat(out, (np.cumsum(counts) - counts)[nonempty])
+        sums[nonempty] = np.add.reduceat(values, (np.cumsum(counts) - counts)[nonempty])
     return sums
 
 
@@ -314,6 +348,34 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
     return signal > params.gamma * (params.N0 + interference), interference
 
 
+def _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer):
+    """Success probability of each slot of one ``per-slot`` batch given its
+    interferers, shape (n, T), with the fading integrated out.
+
+    Draws the interferer counts per slot and their uniforms u, as
+    ``_spatial_slots`` does, and no fading.  Under Rayleigh fading an
+    interferer at r = R sqrt(u) keeps the link with probability
+    1 / (1 + g (r0/r)^a) = 1 / (1 + (U^2 u)^(-a/2)), U = R / (r0 g^(1/a)),
+    so the slot succeeds with exp(-outer - sum log1p((U^2 u)^(-a/2))),
+    where ``outer`` holds the noise and outside-disk exponents.  The
+    uniforms go group by group (``_cell_groups``) through one buffer.
+    """
+    counts = rng.poisson(mean_pts, size=n * T)
+    groups = _cell_groups(counts)
+    buffer = np.empty(max(size for *_, size in groups))
+    U2 = (disk_radius / (params.r0 * params.gamma ** (1.0 / params.alpha))) ** 2
+    exponent = np.empty(n * T)
+    for a, b, _, size in groups:
+        x = buffer[:size]
+        rng.random(out=x)
+        x *= U2
+        np.power(x, -0.5 * params.alpha, out=x)
+        np.log1p(x, out=x)
+        exponent[a:b] = _cell_sums(x, counts[a:b])
+    exponent += outer
+    return np.exp(-exponent).reshape(n, T)
+
+
 def simulate_spatial(
     params: NetworkParams,
     policy: AccessPolicy,
@@ -325,6 +387,7 @@ def simulate_spatial(
     geometry: str = "per-slot",
     workers: int = 1,
     batch_size: int = 2_000,
+    fading: str = "drawn",
 ) -> dict[str, Estimate]:
     """One-block spatial simulation of the typical link.
 
@@ -340,9 +403,23 @@ def simulate_spatial(
     the static-network behavior whose geometry correlation biases run
     frequencies away from the mean-field value (the meta-distribution
     effect, out of analytic scope).
+
+    ``fading`` selects the estimator.  'drawn' (default) draws every fading
+    and counts the slots whose SINR clears the threshold.  'integrated'
+    (``per-slot`` only) draws the positions alone and averages each slot's
+    success probability given them, the Rayleigh fading integrated out
+    (``_slot_probs``); the PPP outside the disk enters through its exact
+    factor exp(-lambda_eff A_out(R)), so this estimator is unbiased for
+    ``slot_success_prob`` itself, not for its disk-truncated value.  Its
+    run and block-success statistics are the run and any-success
+    probabilities of each episode's T slot probabilities, averaged.
     """
     if geometry not in ("per-slot", "per-episode"):
         raise ValueError(f"unknown geometry mode {geometry!r}")
+    if fading not in ("drawn", "integrated"):
+        raise ValueError(f"unknown fading mode {fading!r}")
+    if fading == "integrated" and geometry != "per-slot":
+        raise ValueError("integrated fading needs the per-slot geometry")
     dens = effective_densities(params, policy, P_O_prev)
     lam_eff = dens.lambda_eff
     if disk_radius is None:
@@ -351,8 +428,18 @@ def simulate_spatial(
         raise ValueError(f"disk_radius must be finite and > 0, got {disk_radius}")
     T, v = shape.T, shape.v
     mean_pts = lam_eff * math.pi * disk_radius**2
+    integrated = fading == "integrated"
+    if integrated:
+        outer = noise_exponent(params) + lam_eff * interference_tail(params, disk_radius)
 
     def batch(rng, n):
+        if integrated:
+            p = _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer)
+            return {
+                "slot_rate": _centered(p),
+                "run_freq": _centered(run_probability(p, v)),
+                "block_success": _centered(1.0 - np.prod(1.0 - p, axis=1)),
+            }
         slot_success, _ = _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry)
         return {
             "slot_cnt": float(slot_success.sum()),
@@ -362,6 +449,8 @@ def simulate_spatial(
         }
 
     stats = _run_batches(seed, episodes, batch_size, workers, batch)
+    if integrated:
+        return {k: _pooled_estimate(parts) for k, parts in stats.items()}
     n = stats["n"]
     return {
         "slot_rate": _rate_estimate(stats["slot_cnt"], n * T),

@@ -28,7 +28,7 @@ from .latency import VIRTUAL_BLOCK_MODES, HistoryState, _ex_term
 # these names on this module.  Drop this line with the next benchmark change.
 from .latency import _pcl_weights, expected_paoi, expected_peak_latency  # noqa: F401
 from .runlength import BlockShape, chi
-from .spatial import AccessPolicy, NetworkParams, interference_integral
+from .spatial import AccessPolicy, NetworkParams, interference_integral, noise_exponent
 
 __all__ = [
     "OptimizerConfig",
@@ -141,9 +141,8 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
     pre = 1.0 - P_O_prev
     d_eff = dB + (1.0 - dB) * dS
     lam_eff = params.lam * (pre * d_eff + P_O_prev * dC)
-    noise = params.gamma * params.N0 * params.r0**params.alpha / params.xi
     b = 2.0 * math.pi * interference_integral(params)
-    rho = np.exp(-noise - b * lam_eff)
+    rho = np.exp(-noise_exponent(params) - b * lam_eff)
 
     chi_rho = chi(shape, rho)
     chi_S = chi(shape, dS * rho)

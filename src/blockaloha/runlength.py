@@ -4,7 +4,9 @@ A block of T slots is "controllable" when its success/failure sequence
 contains a run of at least v consecutive successes.  ``chi`` evaluates the
 probability of that event in closed form (inclusion-exclusion over run
 placements); ``chi_bruteforce`` recomputes it by enumerating all 2^T
-sequences and is the ground-truth oracle for ``chi``.
+sequences and is the ground-truth oracle for ``chi``.  ``run_probability``
+is the same event for slots of unequal success probabilities, by the
+run-length Markov chain.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "BlockShape",
     "chi",
     "chi_bruteforce",
+    "run_probability",
 ]
 
 _BRUTE_FORCE_MAX_T = 24
@@ -68,6 +71,30 @@ def chi(shape: BlockShape, x):
         total += term if l % 2 == 1 else -term
     out = np.clip(total, 0.0, 1.0)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def run_probability(p, v: int) -> np.ndarray:
+    """Probability that independent slots t = 1..T, a success with
+    probability ``p[..., t-1]``, contain a run of >= v successes.
+
+    The run-length Markov chain (Fu & Koutras 1994, JASA) walks the slots
+    with v transient states, the length 0..v-1 of the trailing success run,
+    and absorbs the mass that completes a run; all its terms are
+    non-negative.  Returns an array of shape ``p.shape[:-1]``.
+    """
+    p = _check_prob(p, "p")
+    if p.ndim < 1 or v < 1:
+        raise ValueError(f"p needs a slot axis and v must be >= 1, got {p.shape}, {v}")
+    state = np.zeros(p.shape[:-1] + (v,))
+    state[..., 0] = 1.0
+    hit = np.zeros(p.shape[:-1])
+    for t in range(p.shape[-1]):
+        pt = p[..., t]
+        hit += pt * state[..., v - 1]
+        alive = state.sum(axis=-1)
+        state[..., 1:] = pt[..., None] * state[..., :-1]
+        state[..., 0] = (1.0 - pt) * alive
+    return hit
 
 
 @lru_cache(maxsize=32)

@@ -11,6 +11,7 @@ quadrature and by a direct spatial Monte Carlo sampler.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -19,6 +20,8 @@ __all__ = [
     "RegimeDensities",
     "effective_densities",
     "interference_integral",
+    "interference_tail",
+    "noise_exponent",
     "slot_success_prob",
     "default_disk_radius",
     "parse_power_watts",
@@ -29,6 +32,10 @@ __all__ = [
 # order U^(2-2alpha), ~1e-11 at alpha=2.5; comfortably inside the 1e-9
 # backend-agreement budget.
 _QUAD_CUTOFF = 2500.0
+# Terms of the outside-disk tail series: q^56 <= 2^-56 < 1.4e-17 for q <= 1/2.
+_TAIL_TERMS = 57
+# Largest x with exp(x) finite.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -118,14 +125,59 @@ def interference_integral(params: NetworkParams, backend: str = "closed") -> flo
     elif backend == "quadrature":
         from scipy import integrate  # heavy import, needed by this backend only
 
+        def integrand(u):
+            try:
+                return u / (1.0 + u**a)
+            except OverflowError:  # u^a > 1.8e308: the integrand is below 1.4e-305
+                return 0.0
+
         U = _QUAD_CUTOFF
-        val, _ = integrate.quad(
-            lambda u: u / (1.0 + u**a), 0.0, U, epsabs=1e-14, epsrel=1e-13, limit=400
-        )
+        val, _ = integrate.quad(integrand, 0.0, U, epsabs=1e-14, epsrel=1e-13, limit=400)
         unit = val + U ** (2.0 - a) / (a - 2.0)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return scale * unit
+
+
+def interference_tail(params: NetworkParams, disk_radius: float) -> float:
+    """A_out(R) = 2 pi int_R^inf g (r0/r)^a / (1 + g (r0/r)^a) r dr (m^2).
+
+    Interferers of a PPP of density lam outside the disk of radius R
+    multiply the success probability by exactly exp(-lam A_out(R)).  In
+    normalized units U = R / (r0 g^(1/a)) the integral is the alternating
+    series sum_k (-1)^k U^(2 - a(k+1)) / (a(k+1) - 2), whose terms shrink
+    by at least q = U^-a.  R must reach U >= 2^(1/a), so that q <= 1/2:
+    then ``_TAIL_TERMS`` terms reach 1e-17 of the first, and cancellation
+    costs at most a factor of 3; closer in it raises ValueError.
+    """
+    a = params.alpha
+    scale = params.r0 * params.gamma ** (1.0 / a)
+    if not 0.0 < disk_radius < math.inf:
+        raise ValueError(f"disk_radius must be finite and > 0, got {disk_radius}")
+    lowest = 2.0 ** (1.0 / a) * scale
+    if disk_radius < lowest:
+        raise ValueError(
+            f"disk_radius {disk_radius} is below 2^(1/alpha) r0 gamma^(1/alpha) = {lowest}, "
+            "where the tail series stops converging fast"
+        )
+    U = disk_radius / scale
+    lead, q = U ** (2.0 - a), U**-a
+    terms = (lead * (-q) ** k / (a * (k + 1) - 2.0) for k in range(_TAIL_TERMS))
+    return 2.0 * math.pi * scale**2 * math.fsum(terms)
+
+
+def noise_exponent(params: NetworkParams) -> float:
+    """s N0 = g N0 r0^a / xi, the exponent of the Rayleigh noise term.
+
+    Where r0^a alone overflows, the product is taken in logarithms, and it
+    is inf where it overflows too: the success probability then rounds to 0.
+    """
+    try:
+        return params.gamma * params.N0 * params.r0**params.alpha / params.xi
+    except OverflowError:
+        log_s = (math.log(params.gamma) + math.log(params.N0) - math.log(params.xi)
+                 + params.alpha * math.log(params.r0))
+        return math.exp(log_s) if log_s < _LOG_MAX else math.inf
 
 
 def slot_success_prob(
@@ -139,9 +191,8 @@ def slot_success_prob(
     """
     if lambda_eff < 0.0:
         raise ValueError(f"lambda_eff must be >= 0, got {lambda_eff}")
-    noise_exponent = params.gamma * params.N0 * params.r0**params.alpha / params.xi
     interf = 2.0 * math.pi * lambda_eff * interference_integral(params, backend)
-    return math.exp(-noise_exponent - interf)
+    return math.exp(-noise_exponent(params) - interf)
 
 
 def default_disk_radius(lambda_eff: float, bias_target: float = 0.01) -> float:

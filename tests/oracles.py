@@ -227,6 +227,21 @@ def spatial_slots_reference(rng, n, T, mean_pts, disk_radius, params, geometry):
     return slot_success, interference
 
 
+def spatial_probs_reference(rng, n, T, mean_pts, disk_radius, params):
+    """Disk part of each slot's success probability given its interferers,
+    prod_j 1 / (1 + g (r0/r_j)^a), shape (n, T), of one ``per-slot`` batch.
+
+    Same draws and order as ``blockaloha.montecarlo._slot_probs``: counts,
+    then one uniform per interferer, no fading.  Every intermediate holds one
+    entry per interferer; each slot sums its log factors with ``np.bincount``.
+    """
+    counts = rng.poisson(mean_pts, size=n * T)
+    owner = np.repeat(np.arange(n * T), counts)
+    radii = disk_radius * np.sqrt(rng.random(int(counts.sum())))
+    log_keep = -np.log1p(params.gamma * (params.r0 / radii) ** params.alpha)
+    return np.exp(np.bincount(owner, weights=log_keep, minlength=n * T)).reshape(n, T)
+
+
 def spatial_reference(params, lambda_eff, T, v, episodes, seed, disk_radius, geometry,
                       batch_size):
     """Serial reference run of the spatial tier over its fixed batch plan.

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from blockaloha import BlockShape, chi, slot_success_prob
 from blockaloha.cli import ConfigError, load_run_config, main, parse_config_file
+from blockaloha.spatial import interference_tail
 
 
 def run_cli(*args):
@@ -66,7 +68,23 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "K=2",
                        "--set", setting) == 2
         assert "config error:" in capsys.readouterr().err
+    # validate's 1500 m spatial disk must reach 2^(1/alpha) r0 gamma^(1/alpha)
+    assert run_cli("validate", "--outdir", str(tmp_path), "--set", "r0=3000") == 2
+    assert "config error:" in capsys.readouterr().err
     assert load_run_config(None, {"seed": str(2**64 - 8)}).seed == 2**64 - 8
+
+
+def test_overflowing_noise_exponent_gives_zero_success(tmp_path):
+    # r0^alpha = 25^300 overflows a float: rho is 0, not an OverflowError
+    assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "K=2",
+                   "--set", "alpha=300") == 0
+    assert run_cli("success-prob", "--outdir", str(tmp_path), "--set", "alpha=300") == 0
+    assert run_cli("validate", "--outdir", str(tmp_path), "--set", "alpha=300",
+                   "--episodes-scale", "0.01") == 0
+    for name, first, last in (("trace.csv", 4, 4), ("success_prob.csv", 1, 2)):
+        lines = (tmp_path / name).read_text().splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert {float(x) for row in rows for x in row[first : last + 1]} == {0.0}
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -171,6 +189,15 @@ def test_validate_quick_passes_and_is_deterministic(tmp_path):
     lines = (d1 / "validation.csv").read_text().splitlines()
     rows = [l for l in lines if not l.startswith("#")][1:]
     assert len(rows) >= 10
+    # the drawn spatial rows' truncation bias goes to the sidecar only
+    cfg = load_run_config()
+    tail = interference_tail(cfg.params, 1500.0)
+    bias = json.loads((d1 / "validation.meta.json").read_text())["spatial_truncation_bias"]
+    assert bias == dict.fromkeys(
+        ["spatial_slot_rate_1", "spatial_run_freq_full_access",
+         "spatial_vs_bernoulli_run_freq"], -math.expm1(-cfg.params.lam * tail))
+    assert 6.4e-4 < bias["spatial_slot_rate_1"] < 6.6e-4
+    assert all(len(row.split(",")) == 6 for row in rows)
 
 
 def test_validate_equal_estimates_score_z_zero(tmp_path):
@@ -219,6 +246,41 @@ def test_validate_reads_latency_references_from_history_state(monkeypatch):
         assert rows[f"bern_paoi_{label}"] == pytest.approx(array_paoi(hist), rel=1e-12)
     hist = BlockHistory(5, (0.5,) * 12, (0.35,) * 12, (0.35,) * 12)
     assert rows["renewal_pcl_mean_const"] == pytest.approx(expected_pcl(hist), rel=1e-12)
+
+
+def test_validate_spatial_rows_use_their_fading_paths(monkeypatch):
+    # lambda x 1: drawn fading, the independent check of the fading model;
+    # lambda x 2 (spatial_slot_rate_2 only): the fading-integrated estimator
+    import blockaloha.cli
+    from blockaloha.cli import _validation_rows
+
+    calls = []
+    simulate = blockaloha.cli.simulate_spatial
+
+    def record(params, *args, fading="drawn", **kwargs):
+        calls.append((params.lam, fading))
+        return simulate(params, *args, fading=fading, **kwargs)
+
+    monkeypatch.setattr(blockaloha.cli, "simulate_spatial", record)
+    _validation_rows(load_run_config(), 1e-3, 1)
+    assert calls == [(1e-4, "drawn"), (2e-4, "integrated")]
+
+
+def test_integrated_stderr_at_validate_count_is_at_most_drawn():
+    # validate's lambda x 2 row at its full episode count and default seed:
+    # no wider than the binomial stderr of the drawn tier's 20,000 episodes
+    from blockaloha import AccessPolicy, NetworkParams, simulate_spatial
+    from blockaloha.cli import _DISK_RADIUS, _INTEGRATED_EPISODES, _SPATIAL_EPISODES
+
+    cfg = load_run_config()
+    p = NetworkParams(2 * cfg.params.lam, cfg.params.alpha, cfg.params.gamma, cfg.params.xi,
+                      cfg.params.N0, cfg.params.r0)
+    rho = slot_success_prob(p, p.lam)
+    rep = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), cfg.shape, _INTEGRATED_EPISODES,
+                           cfg.seed + 6, disk_radius=_DISK_RADIUS, fading="integrated")
+    drawn = math.sqrt(rho * (1.0 - rho) / (_SPATIAL_EPISODES * cfg.shape.T))
+    assert rep["slot_rate"].stderr <= drawn
+    assert abs(rep["slot_rate"].z_against(rho)) < 3.0
 
 
 def test_csv_float_format_round_trips(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -20,11 +21,14 @@ from blockaloha import (
     simulate_spatial,
     slot_success_prob,
 )
-from blockaloha.montecarlo import _skipped, _spatial_slots
+from blockaloha.montecarlo import _skipped, _slot_probs, _spatial_slots
+from blockaloha.spatial import interference_tail, noise_exponent
 from oracles import (
     expected_pcl,
     first_time_controllability,
     instantaneous_controllability,
+    max_run,
+    spatial_probs_reference,
     spatial_reference,
 )
 
@@ -182,6 +186,30 @@ def test_spatial_run_freq_matches_chi_per_slot_geometry():
     assert_within(rep["run_freq"], chi(shape, analytic), slack=2e-3)
 
 
+def test_spatial_integrated_matches_closed_form():
+    # no slack: integrating the fading out leaves no truncation bias
+    shape = BlockShape(5, 2)
+    rho = slot_success_prob(PARAMS, PARAMS.lam)
+    rep = simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), shape, 3_000, seed=19,
+                           disk_radius=1500.0, fading="integrated")
+    assert rep["slot_rate"].n == 3_000 * shape.T and rep["run_freq"].n == 3_000
+    assert_within(rep["slot_rate"], rho)
+    assert_within(rep["run_freq"], chi(shape, rho))
+    assert_within(rep["block_success"], chi(BlockShape(shape.T, 1), rho))
+
+
+def test_spatial_integrated_has_no_truncation_bias():
+    # a 300 m disk leaves out interferers worth a relative 6.5e-3 of the
+    # success probability; the drawn tier would center on rho exp(lam A_out)
+    p = NetworkParams(lam=2e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
+    rho = slot_success_prob(p, p.lam)
+    rep = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), BlockShape(5, 2), 20_000, seed=41,
+                           disk_radius=300.0, fading="integrated")
+    assert_within(rep["slot_rate"], rho)
+    truncated = rho * math.exp(p.lam * interference_tail(p, 300.0))
+    assert abs(rep["slot_rate"].value - truncated) > 5 * rep["slot_rate"].stderr
+
+
 def test_spatial_per_episode_geometry_shows_correlation():
     # frozen geometry correlates slots; for T=5, v=2 at these parameters the
     # run frequency drops ~0.04 below the i.i.d.-slot value (meta-distribution
@@ -257,6 +285,39 @@ def test_spatial_matches_reference_sampler(alpha, lam, radius, episodes, batch, 
         assert 0 < empty_batches < len(batches)
     else:
         assert empty_cells == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("alpha,lam,radius,episodes,batch", SPATIAL_CASES)
+def test_spatial_integrated_matches_reference_sampler(alpha, lam, radius, episodes, batch,
+                                                      workers):
+    # same draws as the materializing sampler; the slot probabilities agree
+    # up to the order of summation, and the estimates are their means
+    p = NetworkParams(lam=lam, alpha=alpha, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
+    shape, seed = BlockShape(5, 2), 43
+    mean_pts = lam * math.pi * radius**2
+    outer = noise_exponent(p) + lam * interference_tail(p, radius)
+    probs = []
+    for i, lo in enumerate(range(0, episodes, batch)):
+        size = min(batch, episodes - lo)
+        ref = math.exp(-outer) * spatial_probs_reference(
+            episode_rng(seed, i), size, shape.T, mean_pts, radius, p)
+        got = _slot_probs(episode_rng(seed, i), size, shape.T, mean_pts, radius, p, outer)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        probs.append(ref)
+    probs = np.concatenate(probs)
+    rep = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), shape, episodes, seed,
+                           disk_radius=radius, workers=workers, batch_size=batch,
+                           fading="integrated")
+    block = 1.0 - np.prod(1.0 - probs, axis=1)
+    runs = [sum(np.prod(np.where(bits, row, 1.0 - row))
+                for bits in itertools.product((0, 1), repeat=shape.T)
+                if max_run(bits) >= shape.v) for row in probs]
+    for key, values in (("slot_rate", probs), ("block_success", block), ("run_freq", runs)):
+        assert rep[key].n == np.size(values)
+        assert rep[key].value == pytest.approx(np.mean(values), rel=1e-12)
+        assert rep[key].stderr == pytest.approx(
+            np.std(values, ddof=1) / math.sqrt(np.size(values)), rel=1e-6)
 
 
 def test_spatial_per_slot_peak_memory_is_one_float_per_interferer():
@@ -352,6 +413,9 @@ def test_skipped_stream_starts_after_m_raw_outputs(m):
         dict(batch_size=0),
         dict(batch_size=-5),
         dict(workers=0),
+        dict(fading="exact"),
+        dict(fading="integrated", geometry="per-episode"),
+        dict(fading="integrated", disk_radius=10.0),  # inside 2^(1/3) r0 gamma^(1/3)
     ],
 )
 def test_spatial_rejects_bad_arguments(bad):

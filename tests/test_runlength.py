@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from blockaloha import BlockShape, chi, chi_bruteforce
 from blockaloha.latency import _ex_term
-from oracles import chi_by_enumeration, truncated_geometric_mean
+from blockaloha.runlength import run_probability
+from oracles import chi_by_enumeration, max_run, truncated_geometric_mean
 
 
 def test_block_shape_rejects_bad_dimensions():
@@ -99,6 +101,33 @@ def test_chi_clamped_to_unit_interval():
     for T, v in [(12, 2), (9, 1)]:
         vals = chi(BlockShape(T, v), xs)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+
+
+@pytest.mark.parametrize("T", range(1, 9))
+def test_run_probability_matches_enumeration(T):
+    # unequal slot probabilities: weight every bit string by its own product
+    p = np.random.default_rng(T).random((3, T))
+    p[0, 0], p[1, -1] = 0.0, 1.0
+    for v in range(1, T + 1):
+        expected = np.zeros(3)
+        for bits in itertools.product((0, 1), repeat=T):
+            if max_run(bits) >= v:
+                expected += np.prod(np.where(bits, p, 1.0 - p), axis=1)
+        np.testing.assert_allclose(run_probability(p, v), expected, rtol=1e-13, atol=1e-16)
+
+
+def test_run_probability_with_equal_slots_is_chi():
+    xs = np.linspace(0.0, 1.0, 11)
+    for T, v in [(1, 1), (5, 2), (12, 3), (40, 6)]:
+        got = run_probability(np.repeat(xs[:, None], T, axis=1), v)
+        np.testing.assert_allclose(got, chi(BlockShape(T, v), xs), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("p, v", [([0.5, math.nan], 1), ([0.5, 1.2], 1), ([-0.1], 1),
+                                  ([0.5, 0.5], 0), (0.5, 1)])
+def test_run_probability_rejects_bad_input(p, v):
+    with pytest.raises(ValueError):
+        run_probability(p, v)
 
 
 def test_chi_array_matches_scalar():

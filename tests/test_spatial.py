@@ -11,7 +11,9 @@ import blockaloha
 
 from blockaloha import (
     AccessPolicy,
+    BlockShape,
     NetworkParams,
+    block_recursion,
     default_disk_radius,
     effective_densities,
     episode_rng,
@@ -19,6 +21,7 @@ from blockaloha import (
     parse_power_watts,
     slot_success_prob,
 )
+from blockaloha.spatial import interference_tail, noise_exponent
 from oracles import sample_sinr_success
 
 DEFAULTS = dict(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
@@ -127,6 +130,47 @@ def test_interference_free_limit():
     p = params()
     expected = math.exp(-p.gamma * p.N0 * p.r0**p.alpha / p.xi)
     assert slot_success_prob(p, 0.0) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+def test_interference_tail_matches_mpmath(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    p = params(alpha=alpha)
+    scale = p.r0 * p.gamma ** (1.0 / alpha)
+    lowest = 2.0 ** (1.0 / alpha)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        for U in (lowest, 1.5, 2.0, 10.0, 129.3, 1e3, 1e4):
+            U = max(U, lowest)
+            tail = mpmath.quad(lambda u: u / (1 + u**a), [U, 2 * U, mpmath.inf])
+            expected = float(2 * mpmath.pi * mpmath.mpf(scale) ** 2 * tail)
+            got = interference_tail(p, U * scale)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (U, got, expected)
+    # below U = 2^(1/alpha) the series converges too slowly, and a radius must be finite
+    for U in (lowest * (1.0 - 1e-9), 1.0, 0.5):
+        with pytest.raises(ValueError):
+            interference_tail(p, U * scale)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            interference_tail(p, bad)
+
+
+def test_noise_exponent():
+    p = params()
+    assert noise_exponent(p) == p.gamma * p.N0 * p.r0**p.alpha / p.xi  # bit for bit
+    # r0^alpha overflows: the exponent is inf and the success probability 0
+    big = params(alpha=300.0)
+    assert noise_exponent(big) == math.inf
+    assert slot_success_prob(big, 1e-4) == 0.0
+    assert slot_success_prob(big, 1e-4, backend="quadrature") == 0.0
+    one = [np.array([1.0]), np.array([0.0]), np.array([0.0])]
+    assert block_recursion(0.0, big, BlockShape(5, 2), *one)["rho"][0] == 0.0
+    # r0^alpha overflows, but the product does not: 0.1 * 1e-315 * 10^310 / 10
+    tiny_noise = params(r0=10.0, alpha=310.0, N0=1e-315)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        expected = float(mpmath.mpf(0.1) * mpmath.mpf(1e-315) * mpmath.mpf(10) ** 310 / 10)
+    assert noise_exponent(tiny_noise) == pytest.approx(expected, rel=1e-12)
 
 
 def test_slot_success_monotonicities():
