@@ -19,7 +19,6 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .latency import BlockHistory, HistoryState, pcl_pmf
@@ -184,7 +183,7 @@ def _emit(cfg: RunConfig, command: str, stem: str, comments, header, rows, /, **
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     path = cfg.outdir / f"{stem}.csv"
     write_csv(path, comments, header, rows)
-    versions = {"blockaloha": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    versions = {"blockaloha": __version__, "numpy": np.__version__}
     write_meta(
         cfg.outdir / f"{stem}.meta.json",
         {"command": command, "config": cfg.echo(), "seed": cfg.seed, "versions": versions,

@@ -43,6 +43,11 @@ _DEFAULT_BATCH = 50_000
 # Interferers per fading draw in the spatial tier, and slots per episode
 # chunk in the Bernoulli tier (one 512 KiB buffer of float64).
 _FADING_CHUNK = 1 << 16
+# Largest interferer gain g (r0/r)^a that the spatial tier represents: a
+# nearer interferer counts with this gain, which changes a drawn slot only
+# when its fading is below 1e-150 of the signal's and a slot's integrated
+# success probability by less than 1e-150.
+_GAIN_CAP = 1e150
 
 
 @dataclass(frozen=True)
@@ -303,34 +308,53 @@ def _cell_groups(counts: np.ndarray):
     return list(zip(edges[:-1], edges[1:], starts[:-1], np.diff(starts)))
 
 
+def _interferer_gains(x: np.ndarray, disk_radius: float, params: NetworkParams) -> np.ndarray:
+    """Overwrite the uniforms x with the gains g (r0/r)^a = (U^2 x)^(-a/2) of
+    interferers at r = R sqrt(x), U = R / (r0 g^(1/a)), capped at ``_GAIN_CAP``.
+
+    The cap enters as a floor on U^2 x, so the power never overflows.  Above
+    alpha ~1.2e19 that floor rounds to 1, where every U^2 x < 1 would
+    overflow: those entries then take the cap as well (and so does the
+    measure-zero U^2 x = 1).
+    """
+    alpha = params.alpha
+    floor = _GAIN_CAP ** (-2.0 / alpha)
+    x *= (disk_radius / (params.r0 * params.gamma ** (1.0 / alpha))) ** 2
+    np.maximum(x, floor, out=x)
+    np.power(x, -0.5 * alpha, out=x)
+    if floor == 1.0:
+        x[x == 1.0] = _GAIN_CAP
+    return x
+
+
 def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
     """Slot successes and interference, both of shape (n, T), of one batch.
 
     Draws: interferer counts per cell (a slot, or a frozen episode), their
-    uniforms u, then per slot the interferer and the signal fading.  At
-    r = R sqrt(u) the path loss is xi R^-alpha u^(-alpha/2), so the
-    uniforms become the only per-interferer array and the constant scales
-    the per-slot sums.  Both geometries walk the cells in groups of about
-    ``_FADING_CHUNK`` interferers (``_cell_groups``) and multiply the
-    fading into one reused buffer.  ``per-episode`` reuses each uniform T
-    times, so it keeps them all.  ``per-slot`` uses each once, so it reads
-    them from ``rng`` and the fading from a view of the same stream skipped
-    past them: the draws are unchanged and the memory is
-    O(_FADING_CHUNK + largest cell).
+    uniforms u, then per slot the interferer and the signal fading.  The
+    link holds when its fading beats s N0 plus the sum of the interferers'
+    faded gains g (r0/r)^a (``_interferer_gains``), which is the
+    interference returned, in units of the signal's xi r0^-a / g; the
+    uniforms become the only per-interferer array.  Both geometries walk the
+    cells in groups of about ``_FADING_CHUNK`` interferers
+    (``_cell_groups``) and multiply the fading into one reused buffer.
+    ``per-episode`` reuses each uniform T times, so it keeps them all.
+    ``per-slot`` uses each once, so it reads them from ``rng`` and the
+    fading from a view of the same stream skipped past them: the draws are
+    unchanged and the memory is O(_FADING_CHUNK + largest cell).
     """
     per_episode = geometry == "per-episode"
     counts = rng.poisson(mean_pts, size=n if per_episode else n * T)
     groups = _cell_groups(counts)
     buffer = np.empty(max(size for *_, size in groups))
     if per_episode:
-        path_loss = rng.random(int(counts.sum()))
-        np.power(path_loss, -0.5 * params.alpha, out=path_loss)
+        gains = _interferer_gains(rng.random(int(counts.sum())), disk_radius, params)
         interference = np.empty((n, T))
         signal = np.empty((n, T))
         for t in range(T):
             for a, b, lo, size in groups:
                 interference[a:b, t] = _faded_sums(
-                    rng, path_loss[lo : lo + size], counts[a:b], buffer[:size]
+                    rng, gains[lo : lo + size], counts[a:b], buffer[:size]
                 )
             signal[:, t] = rng.exponential(size=n)
     else:
@@ -339,13 +363,11 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
         for a, b, _, size in groups:
             u = buffer[:size]
             rng.random(out=u)
-            np.power(u, -0.5 * params.alpha, out=u)
+            _interferer_gains(u, disk_radius, params)
             interference[a:b] = _faded_sums(fading_rng, u, counts[a:b], u)
         interference = interference.reshape(n, T)
         signal = fading_rng.exponential(size=n * T).reshape(n, T)
-    interference *= params.xi * disk_radius ** (-params.alpha)
-    signal *= params.xi * params.r0 ** (-params.alpha)
-    return signal > params.gamma * (params.N0 + interference), interference
+    return signal > noise_exponent(params) + interference, interference
 
 
 def _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer):
@@ -354,22 +376,20 @@ def _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer):
 
     Draws the interferer counts per slot and their uniforms u, as
     ``_spatial_slots`` does, and no fading.  Under Rayleigh fading an
-    interferer at r = R sqrt(u) keeps the link with probability
-    1 / (1 + g (r0/r)^a) = 1 / (1 + (U^2 u)^(-a/2)), U = R / (r0 g^(1/a)),
-    so the slot succeeds with exp(-outer - sum log1p((U^2 u)^(-a/2))),
-    where ``outer`` holds the noise and outside-disk exponents.  The
-    uniforms go group by group (``_cell_groups``) through one buffer.
+    interferer of gain g (r0/r)^a (``_interferer_gains``) keeps the link
+    with probability 1 / (1 + g (r0/r)^a), so the slot succeeds with
+    exp(-outer - sum log1p(g (r0/r)^a)), where ``outer`` holds the noise
+    and outside-disk exponents.  The uniforms go group by group
+    (``_cell_groups``) through one buffer.
     """
     counts = rng.poisson(mean_pts, size=n * T)
     groups = _cell_groups(counts)
     buffer = np.empty(max(size for *_, size in groups))
-    U2 = (disk_radius / (params.r0 * params.gamma ** (1.0 / params.alpha))) ** 2
     exponent = np.empty(n * T)
     for a, b, _, size in groups:
         x = buffer[:size]
         rng.random(out=x)
-        x *= U2
-        np.power(x, -0.5 * params.alpha, out=x)
+        _interferer_gains(x, disk_radius, params)
         np.log1p(x, out=x)
         exponent[a:b] = _cell_sums(x, counts[a:b])
     exponent += outer
@@ -432,6 +452,7 @@ def simulate_spatial(
     if integrated:
         outer = noise_exponent(params) + lam_eff * interference_tail(params, disk_radius)
 
+    @np.errstate(under="ignore")  # a far interferer's gain may round to 0
     def batch(rng, n):
         if integrated:
             p = _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockaloha
 from blockaloha import BlockShape, chi, slot_success_prob
 from blockaloha.cli import ConfigError, load_run_config, main, parse_config_file
 from blockaloha.spatial import interference_tail
@@ -117,6 +122,56 @@ def test_success_prob_output(tmp_path):
             slot_success_prob(cfg.params, float(lam)), rel=1e-15
         )
         assert float(quadr) == pytest.approx(float(closed), rel=1e-9)
+
+
+def test_success_prob_backends_agree_at_large_alpha(tmp_path):
+    # at alpha=50 the mass of u / (1 + u^a) lies below u = 1, where adaptive
+    # quadrature once missed it; r0=0.5 keeps the noise term from zeroing rho
+    assert run_cli("success-prob", "--outdir", str(tmp_path),
+                   "--set", "alpha=50", "--set", "r0=0.5") == 0
+    lines = (tmp_path / "success_prob.csv").read_text().splitlines()
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    assert len(rows) == 41
+    for _, closed, quadr in rows:
+        assert float(quadr) == pytest.approx(float(closed), rel=1e-12, abs=0.0)
+    assert float(rows[-1][1]) < 0.99990
+
+
+_WITHOUT_SCIPY = """
+import importlib.abc
+import sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"import of {name} refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from blockaloha.cli import main
+
+for argv in (["validate", "--episodes-scale", "0.01"], ["success-prob"],
+             ["optimize", "--set", "K=2"], ["chi-table"], ["demo-plant"]):
+    code = main([*argv, "--outdir", sys.argv[1]])
+    assert code == 0, (argv, code)
+"""
+
+
+def test_cli_commands_run_without_scipy(tmp_path):
+    src = str(Path(blockaloha.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((tmp_path / "validation.meta.json").read_text())
+    assert set(meta["versions"]) == {"blockaloha", "numpy"}
 
 
 def test_demo_plant_pattern(tmp_path):

@@ -21,7 +21,13 @@ from blockaloha import (
     simulate_spatial,
     slot_success_prob,
 )
-from blockaloha.montecarlo import _skipped, _slot_probs, _spatial_slots
+from blockaloha.montecarlo import (
+    _GAIN_CAP,
+    _interferer_gains,
+    _skipped,
+    _slot_probs,
+    _spatial_slots,
+)
 from blockaloha.spatial import interference_tail, noise_exponent
 from oracles import (
     expected_pcl,
@@ -278,6 +284,8 @@ def test_spatial_matches_reference_sampler(alpha, lam, radius, episodes, batch, 
             episode_rng(seed, i), size, shape.T, mean_pts, radius, p, geometry
         )
         assert ok.shape == interference.shape == ref.shape == (size, shape.T)
+        # the package sums gains g (r0/r)^a, the oracle powers in watts
+        ref = ref * (p.gamma * p.r0**p.alpha / p.xi)
         np.testing.assert_allclose(interference, ref, rtol=1e-12, atol=0.0)
         empty_batches += not ref.any()
         empty_cells += int((ref == 0.0).sum())
@@ -318,6 +326,42 @@ def test_spatial_integrated_matches_reference_sampler(alpha, lam, radius, episod
         assert rep[key].value == pytest.approx(np.mean(values), rel=1e-12)
         assert rep[key].stderr == pytest.approx(
             np.std(values, ddof=1) / math.sqrt(np.size(values)), rel=1e-6)
+
+
+def test_spatial_drawn_at_large_alpha_matches_closed_form():
+    # alpha=300: (r/r0)^-a spans far beyond the float range, and a near
+    # interferer's gain once overflowed to inf and met an underflowed 0
+    p = NetworkParams(lam=1e-4, alpha=300.0, gamma=0.1, xi=10.0, N0=1e-17, r0=0.5)
+    rho = slot_success_prob(p, p.lam)
+    assert 0.9999 < rho < 1.0
+    with np.errstate(all="raise"):
+        rep = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), BlockShape(5, 2), 20_000,
+                               seed=61, disk_radius=100.0)
+        # the frozen field correlates an episode's slots, so no z-test here
+        frozen = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), BlockShape(5, 2), 2_000,
+                                  seed=61, disk_radius=100.0, geometry="per-episode")
+    assert rep["slot_rate"].stderr > 0.0
+    assert abs(rep["slot_rate"].z_against(rho)) < 3.0
+    assert frozen["slot_rate"].value > 0.999
+
+
+def test_interferer_gains_are_exact_below_the_cap():
+    # U^2 u = 0 (u = 0) and any alpha: no overflow; a gain beyond the cap
+    # takes the cap, and so, above alpha ~1.2e19, does every U^2 u < 1
+    def expected(x, alpha):
+        if x == 0.0 or -0.5 * alpha * math.log(x) > math.log(_GAIN_CAP):
+            return _GAIN_CAP
+        return x ** (-0.5 * alpha)
+
+    x = [0.0, 1e-3, 0.5, 0.99, 1.5, 40.0]
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        for alpha in (3.0, 300.0, 1e20, 1e300):
+            # r0 = g = 1: U is the disk radius
+            p = NetworkParams(lam=1e-4, alpha=alpha, gamma=1.0, xi=1.0, N0=1.0, r0=1.0)
+            gains = _interferer_gains(np.array(x), 1.0, p)
+            want = [expected(xi, alpha) for xi in x]
+            np.testing.assert_allclose(gains, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(_interferer_gains(np.array(x) / 4.0, 2.0, p), gains)
 
 
 def test_spatial_per_slot_peak_memory_is_one_float_per_interferer():

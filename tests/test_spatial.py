@@ -1,13 +1,7 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import blockaloha
 
 from blockaloha import (
     AccessPolicy,
@@ -100,30 +94,49 @@ def test_backends_agree(alpha):
         assert abs(a - b) / a <= 1e-9
 
 
-_LAZY_IMPORT_CHECK = """
-import sys
-import blockaloha.cli
-from blockaloha import NetworkParams, interference_integral
-assert "scipy.integrate" not in sys.modules, "scipy.integrate imported eagerly"
-p = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
-closed = interference_integral(p)
-quad = interference_integral(p, backend="quadrature")
-assert abs(quad - closed) <= 1e-9 * closed, (quad, closed)
-assert "scipy.integrate" in sys.modules
-"""
+# alpha from near 2, where the right tail decays slowly, to where the left
+# tail is almost flat and the mass of u / (1 + u^a) sits below u = 1
+QUADRATURE_ALPHAS = [2.05, 2.5, 3.0, 3.5, 4.0, 6.0, 50.0, 300.0, 1e6, 1e300]
 
 
-def test_scipy_integrate_imported_only_by_quadrature_backend():
-    src = str(Path(blockaloha.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_IMPORT_CHECK],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+@pytest.mark.parametrize("alpha", QUADRATURE_ALPHAS)
+@pytest.mark.parametrize("r0", [25.0, 0.5])
+def test_quadrature_matches_mpmath(alpha, r0):
+    mpmath = pytest.importorskip("mpmath")
+    p = params(alpha=alpha, r0=r0)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        unit = (mpmath.pi / a) / mpmath.sin(2 * mpmath.pi / a)
+        expected = float(mpmath.mpf(r0) ** 2 * mpmath.mpf(0.1) ** (2 / a) * unit)
+    got = interference_integral(p, backend="quadrature")
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_quadrature_node_count_does_not_depend_on_alpha(monkeypatch):
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+    counts = set()
+    for alpha in QUADRATURE_ALPHAS:
+        p = params(alpha=alpha)
+        calls.clear()
+        interference_integral(p, backend="quadrature")
+        counts.add(len(calls))
+    assert counts == {2 * 165 + 2}  # two per node, one per tail
+
+
+def test_backends_agree_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(alpha=hypothesis.strategies.floats(min_value=2.05, max_value=1e6))
+    def agree(alpha):
+        p = params(alpha=alpha)
+        closed = interference_integral(p)
+        assert interference_integral(p, backend="quadrature") == pytest.approx(
+            closed, rel=1e-13, abs=0.0)
+
+    agree()
 
 
 def test_interference_free_limit():
