@@ -3,11 +3,12 @@
 Bernoulli tier: slot outcomes drawn from given per-block success
 probabilities, measuring empirical run, latency, age, and controllability
 statistics.  Spatial tier: full PPP + Rayleigh fading + SINR simulation of
-the typical link, or, with the fading integrated out, the average of each
-slot's success probability given its interferer positions.  All estimators are seed-deterministic and independent of
-the worker count: episodes are split into fixed-size batches, each batch
-gets its own counter-based random stream keyed by (seed, batch index), and
-sufficient statistics are merged in batch order.
+the typical link, or, with the fading integrated out, each slot's success
+probability given its interferer positions; one body reduces either to
+the slot, run and block statistics.  All estimators are seed-deterministic
+and independent of the worker count: episodes are split into fixed-size
+batches, each batch gets its own counter-based random stream keyed by
+(seed, batch index), and sufficient statistics are merged in batch order.
 """
 
 from __future__ import annotations
@@ -59,9 +60,16 @@ class Estimate:
     n: int
 
     def z_against(self, reference: float) -> float:
-        if self.stderr == 0.0:
+        """(value - ref) / stderr; a constant sample (stderr 0) is scored
+        against sqrt(ref (1 - ref) / n) if 0 < ref < 1: the binomial score
+        test for a rate, and for any mean of [0, 1] values the largest
+        stderr its null allows (Bhatia & Davis 2000)."""
+        stderr = self.stderr
+        if stderr == 0.0 and 0.0 < reference < 1.0:
+            stderr = math.sqrt(reference * (1.0 - reference) / self.n)
+        if stderr == 0.0:
             return 0.0 if self.value == reference else math.inf
-        return (self.value - reference) / self.stderr
+        return (self.value - reference) / stderr
 
 
 def episode_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -111,23 +119,27 @@ def _mean_estimate(moments, n) -> Estimate:
 
 
 def _centered(x: np.ndarray) -> list:
-    """[(count, sum, sum of squared deviations from the mean)] of a float
-    sample; batches concatenate these lists."""
-    return [(x.size, x.sum(), ((x - x.mean()) ** 2).sum())]
+    """[(count, sum, sum of squared deviations from the mean, whether every
+    value is 0 or 1)] of a float sample; batches concatenate these lists."""
+    binary = bool(((x == 0.0) | (x == 1.0)).all())
+    return [(x.size, x.sum(), ((x - x.mean()) ** 2).sum(), binary)]
 
 
 def _pooled_estimate(parts: list) -> Estimate:
     """Mean and standard error of the samples behind ``_centered`` parts.
 
-    The parts pool their squared deviations (Chan, Golub & LeVeque 1983),
-    so a nearly constant sample keeps its variance, which the difference of
-    ``_moments`` sums loses to cancellation.
+    A 0/1 sample is a rate, with the binomial ``_rate_estimate``.  Others
+    pool their parts' squared deviations (Chan, Golub & LeVeque 1983), so a
+    nearly constant sample keeps the variance that ``_moments`` loses.
     """
-    n = sum(count for count, _, _ in parts)
-    mean = sum(total for _, total, _ in parts) / n
+    counts, totals, _, binary = zip(*parts)
+    n, total = sum(counts), sum(totals)
+    if all(binary):
+        return _rate_estimate(total, n)
+    mean = total / n
     if n == 1:
         return Estimate(mean, math.nan, 1)
-    sq_dev = sum(ss + count * (total / count - mean) ** 2 for count, total, ss in parts)
+    sq_dev = sum(ss + count * (t / count - mean) ** 2 for count, t, ss, _ in parts)
     return Estimate(mean, math.sqrt(sq_dev / (n - 1) / n), n)
 
 
@@ -327,6 +339,22 @@ def _interferer_gains(x: np.ndarray, disk_radius: float, params: NetworkParams) 
     return x
 
 
+def _slot_sums(rng, counts, disk_radius, params, reduce) -> np.ndarray:
+    """reduce(gains, counts) of the slots with the given interferer counts:
+    their uniforms are drawn group by group (``_cell_groups``) into one
+    buffer and become gains in place (``_interferer_gains``), so the memory
+    is O(_FADING_CHUNK + largest cell) and the stream is read as by one
+    ``rng.random(counts.sum())`` call."""
+    groups = _cell_groups(counts)
+    buffer = np.empty(max(size for *_, size in groups))
+    sums = np.empty(counts.size)
+    for a, b, _, size in groups:
+        u = buffer[:size]
+        rng.random(out=u)
+        sums[a:b] = reduce(_interferer_gains(u, disk_radius, params), counts[a:b])
+    return sums
+
+
 def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
     """Slot successes and interference, both of shape (n, T), of one batch.
 
@@ -334,20 +362,23 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
     uniforms u, then per slot the interferer and the signal fading.  The
     link holds when its fading beats s N0 plus the sum of the interferers'
     faded gains g (r0/r)^a (``_interferer_gains``), which is the
-    interference returned, in units of the signal's xi r0^-a / g; the
-    uniforms become the only per-interferer array.  Both geometries walk the
-    cells in groups of about ``_FADING_CHUNK`` interferers
-    (``_cell_groups``) and multiply the fading into one reused buffer.
-    ``per-episode`` reuses each uniform T times, so it keeps them all.
-    ``per-slot`` uses each once, so it reads them from ``rng`` and the
-    fading from a view of the same stream skipped past them: the draws are
-    unchanged and the memory is O(_FADING_CHUNK + largest cell).
+    interference returned, in units of the signal's xi r0^-a / g.
+    ``per-slot`` uses each uniform once (``_slot_sums``) and reads the
+    fading from a view of the same stream skipped past them.  ``per-episode``
+    reuses each gain T times, so it keeps them all, and walks them in the
+    same groups through one buffer.
     """
-    per_episode = geometry == "per-episode"
-    counts = rng.poisson(mean_pts, size=n if per_episode else n * T)
-    groups = _cell_groups(counts)
-    buffer = np.empty(max(size for *_, size in groups))
-    if per_episode:
+    if geometry == "per-slot":
+        counts = rng.poisson(mean_pts, size=n * T)
+        fading_rng = _skipped(rng, int(counts.sum()))
+        interference = _slot_sums(
+            rng, counts, disk_radius, params, lambda g, c: _faded_sums(fading_rng, g, c, g)
+        ).reshape(n, T)
+        signal = fading_rng.exponential(size=n * T).reshape(n, T)
+    else:
+        counts = rng.poisson(mean_pts, size=n)
+        groups = _cell_groups(counts)
+        buffer = np.empty(max(size for *_, size in groups))
         gains = _interferer_gains(rng.random(int(counts.sum())), disk_radius, params)
         interference = np.empty((n, T))
         signal = np.empty((n, T))
@@ -357,16 +388,6 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
                     rng, gains[lo : lo + size], counts[a:b], buffer[:size]
                 )
             signal[:, t] = rng.exponential(size=n)
-    else:
-        fading_rng = _skipped(rng, int(counts.sum()))
-        interference = np.empty(n * T)
-        for a, b, _, size in groups:
-            u = buffer[:size]
-            rng.random(out=u)
-            _interferer_gains(u, disk_radius, params)
-            interference[a:b] = _faded_sums(fading_rng, u, counts[a:b], u)
-        interference = interference.reshape(n, T)
-        signal = fading_rng.exponential(size=n * T).reshape(n, T)
     return signal > noise_exponent(params) + interference, interference
 
 
@@ -374,26 +395,16 @@ def _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer):
     """Success probability of each slot of one ``per-slot`` batch given its
     interferers, shape (n, T), with the fading integrated out.
 
-    Draws the interferer counts per slot and their uniforms u, as
+    Draws the interferer counts per slot and their uniforms, as
     ``_spatial_slots`` does, and no fading.  Under Rayleigh fading an
-    interferer of gain g (r0/r)^a (``_interferer_gains``) keeps the link
-    with probability 1 / (1 + g (r0/r)^a), so the slot succeeds with
-    exp(-outer - sum log1p(g (r0/r)^a)), where ``outer`` holds the noise
-    and outside-disk exponents.  The uniforms go group by group
-    (``_cell_groups``) through one buffer.
+    interferer of gain g (r0/r)^a keeps the link with probability
+    1 / (1 + g (r0/r)^a), so the slot succeeds with exp(-outer - sum
+    log1p(g (r0/r)^a)), ``outer`` holding the noise and outside-disk exponents.
     """
     counts = rng.poisson(mean_pts, size=n * T)
-    groups = _cell_groups(counts)
-    buffer = np.empty(max(size for *_, size in groups))
-    exponent = np.empty(n * T)
-    for a, b, _, size in groups:
-        x = buffer[:size]
-        rng.random(out=x)
-        _interferer_gains(x, disk_radius, params)
-        np.log1p(x, out=x)
-        exponent[a:b] = _cell_sums(x, counts[a:b])
-    exponent += outer
-    return np.exp(-exponent).reshape(n, T)
+    exponent = _slot_sums(rng, counts, disk_radius, params,
+                          lambda g, c: _cell_sums(np.log1p(g, out=g), c))
+    return np.exp(-(exponent + outer)).reshape(n, T)
 
 
 def simulate_spatial(
@@ -416,23 +427,22 @@ def simulate_spatial(
     the typical controller transmits in every slot, so the measured slot
     rate estimates the access-conditional success probability.
 
-    ``geometry`` selects what the block-level run statistics describe:
-    'per-slot' (default) redraws the interferer field every slot, making
-    slot successes i.i.d. exactly as the closed-form block analytics
-    assume; 'per-episode' freezes the field for the whole block, which is
-    the static-network behavior whose geometry correlation biases run
-    frequencies away from the mean-field value (the meta-distribution
-    effect, out of analytic scope).
+    ``geometry``: 'per-slot' (default) redraws the interferer field every
+    slot, making slot successes i.i.d. as the closed-form block analytics
+    assume; 'per-episode' freezes it for the whole block, the static
+    network, whose correlated slots move run frequencies away from the
+    mean-field value (the meta-distribution effect, out of analytic scope).
 
-    ``fading`` selects the estimator.  'drawn' (default) draws every fading
-    and counts the slots whose SINR clears the threshold.  'integrated'
-    (``per-slot`` only) draws the positions alone and averages each slot's
-    success probability given them, the Rayleigh fading integrated out
-    (``_slot_probs``); the PPP outside the disk enters through its exact
-    factor exp(-lambda_eff A_out(R)), so this estimator is unbiased for
-    ``slot_success_prob`` itself, not for its disk-truncated value.  Its
-    run and block-success statistics are the run and any-success
-    probabilities of each episode's T slot probabilities, averaged.
+    ``fading`` selects what fills a batch's (n, T) array p of slot success
+    probabilities: 'drawn' (default) draws every fading and p holds the 0/1
+    SINR outcomes; 'integrated' (``per-slot`` only) draws the positions
+    alone and p holds each slot's success probability given them
+    (``_slot_probs``), with the PPP outside the disk in its exact factor
+    exp(-lambda_eff A_out(R)), so it is unbiased for ``slot_success_prob``
+    itself, not for its disk-truncated value.  One body reduces p: the slot
+    rate, ``run_probability(p, v)`` (exact on 0/1 slots) and 1 - prod(1 - p),
+    each averaged over independent cells: episodes, and for the 'per-slot'
+    slot rate, slots.  0/1 samples get binomial standard errors.
     """
     if geometry not in ("per-slot", "per-episode"):
         raise ValueError(f"unknown geometry mode {geometry!r}")
@@ -456,28 +466,16 @@ def simulate_spatial(
     def batch(rng, n):
         if integrated:
             p = _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer)
-            return {
-                "slot_rate": _centered(p),
-                "run_freq": _centered(run_probability(p, v)),
-                "block_success": _centered(1.0 - np.prod(1.0 - p, axis=1)),
-            }
-        slot_success, _ = _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry)
+        else:
+            p = _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry)[0].astype(float)
         return {
-            "slot_cnt": float(slot_success.sum()),
-            "run_cnt": float(_has_run(slot_success, v).sum()),
-            "z_cnt": float(slot_success.any(axis=1).sum()),
-            "n": float(n),
+            "slot_rate": _centered(p.mean(axis=1) if geometry == "per-episode" else p),
+            "run_freq": _centered(run_probability(p, v)),
+            "block_success": _centered(1.0 - np.prod(1.0 - p, axis=1)),
         }
 
     stats = _run_batches(seed, episodes, batch_size, workers, batch)
-    if integrated:
-        return {k: _pooled_estimate(parts) for k, parts in stats.items()}
-    n = stats["n"]
-    return {
-        "slot_rate": _rate_estimate(stats["slot_cnt"], n * T),
-        "run_freq": _rate_estimate(stats["run_cnt"], n),
-        "block_success": _rate_estimate(stats["z_cnt"], n),
-    }
+    return {key: _pooled_estimate(parts) for key, parts in stats.items()}
 
 
 def simulate_renewal_pcl(

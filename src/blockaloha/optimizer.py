@@ -136,7 +136,8 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
     Given the cumulative probability ``P_O_prev`` before the block: slot
     success ``rho`` at the candidates' effective density, first-time
     ``pi = dB chi(rho) + (1 - dB) chi(dS rho)``, cumulative ``P_O``,
-    instantaneous ``P_O_tilde`` and ``chi_C = chi(dC rho)``.
+    instantaneous ``P_O_tilde`` and ``chi_C = chi(dC rho)``; one ``chi``
+    call evaluates the three run probabilities on the stacked slot arrays.
     """
     pre = 1.0 - P_O_prev
     d_eff = dB + (1.0 - dB) * dS
@@ -144,9 +145,7 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
     b = 2.0 * math.pi * interference_integral(params)
     rho = np.exp(-noise_exponent(params) - b * lam_eff)
 
-    chi_rho = chi(shape, rho)
-    chi_S = chi(shape, dS * rho)
-    chi_C = chi(shape, dC * rho)
+    chi_rho, chi_S, chi_C = chi(shape, np.stack([rho, dS * rho, dC * rho]))
     pi = dB * chi_rho + (1.0 - dB) * chi_S
     return {
         "rho": rho,

@@ -246,11 +246,12 @@ def spatial_reference(params, lambda_eff, T, v, episodes, seed, disk_radius, geo
                       batch_size):
     """Serial reference run of the spatial tier over its fixed batch plan.
 
-    Returns the success, run and block-success counts, the episode count
-    and the per-batch (seed stream, size, interference) triples.
+    Returns the success, run and block-success counts, the episode count,
+    each episode's fraction of successful slots, and the per-batch (seed
+    stream, size, interference) triples.
     """
     mean_pts = lambda_eff * np.pi * disk_radius**2
-    counts = {"slot_cnt": 0, "run_cnt": 0, "z_cnt": 0, "n": 0}
+    counts = {"slot_cnt": 0, "run_cnt": 0, "z_cnt": 0, "n": 0, "episode_rates": []}
     batches = []
     for i, lo in enumerate(range(0, episodes, batch_size)):
         n = min(batch_size, episodes - lo)
@@ -262,6 +263,7 @@ def spatial_reference(params, lambda_eff, T, v, episodes, seed, disk_radius, geo
         counts["run_cnt"] += sum(runs)
         counts["z_cnt"] += int(ok.any(axis=1).sum())
         counts["n"] += n
+        counts["episode_rates"].extend(ok.mean(axis=1))
         batches.append((i, n, interference))
     return counts, batches
 

@@ -266,6 +266,17 @@ def test_validate_equal_estimates_score_z_zero(tmp_path):
     assert passed == "True"
 
 
+@pytest.mark.parametrize("overrides, scale", [
+    (("lambda=1e-12",), "0.05"),  # every drawn slot succeeds; rho = 1 - 1.6e-15
+    (("alpha=300", "r0=0.5"), "0.01"),  # every slot of a small run succeeds
+])
+def test_validate_passes_where_a_spatial_rate_sample_is_constant(tmp_path, overrides, scale):
+    # a sample with no failure has zero stderr; it is scored against the
+    # binomial spread of the reference, not failed with z = inf
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    assert run_cli("validate", *sets, "--episodes-scale", scale, "--outdir", str(tmp_path)) == 0
+
+
 def test_validate_perturbation_fails(tmp_path, monkeypatch):
     # a 5% bias on every z-tested analytic reference must fail the suite
     import blockaloha.cli

@@ -9,6 +9,7 @@ from blockaloha import (
     AccessPolicy,
     BlockHistory,
     BlockShape,
+    Estimate,
     NetworkParams,
     chi,
     episode_rng,
@@ -236,6 +237,35 @@ def test_spatial_per_episode_geometry_shows_correlation():
     assert_within(rep["slot_rate"], analytic, slack=7e-4)
 
 
+def test_spatial_per_episode_slot_rate_stderr_is_calibrated():
+    # the frozen field correlates an episode's slots, so the slot rate's
+    # standard error is taken over episodes: across 40 seeds the estimates
+    # scatter as much as their reported standard error says (a binomial
+    # stderr over the n T slots understates it by about a third here)
+    reps = [
+        simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), BlockShape(5, 2), 2_000, seed,
+                         disk_radius=300.0, geometry="per-episode")["slot_rate"]
+        for seed in range(40)
+    ]
+    assert all(r.n == 2_000 for r in reps)
+    ratio = np.std([r.value for r in reps], ddof=1) / np.mean([r.stderr for r in reps])
+    assert 0.8 <= ratio <= 1.25, ratio
+
+
+def test_z_against_scores_a_constant_sample_against_the_reference_spread():
+    # zero stderr and 0 < ref < 1: the score uses sqrt(ref (1 - ref) / n)
+    assert Estimate(1.0, 0.0, 1000).z_against(0.99) > 3.0
+    assert Estimate(1.0, 0.0, 1000).z_against(0.99) == pytest.approx(
+        0.01 / math.sqrt(0.99 * 0.01 / 1000), rel=1e-12)
+    assert abs(Estimate(1.0, 0.0, 25_000).z_against(1.0 - 1.6e-15)) < 1e-4
+    assert Estimate(0.0, 0.0, 50).z_against(0.5) == pytest.approx(-math.sqrt(50), rel=1e-12)
+    # outside (0, 1): 0 on equality, inf otherwise, as before
+    for value, ref, z in [(1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, math.inf),
+                          (0.0, 1.0, math.inf), (2.5, 2.5, 0.0), (2.5, 3.0, math.inf)]:
+        assert Estimate(value, 0.0, 100).z_against(ref) == z
+    assert Estimate(0.6, 0.05, 100).z_against(0.5) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_spatial_zero_interference():
     shape = BlockShape(3, 1)
     p = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-30, r0=25.0)
@@ -262,7 +292,8 @@ SPATIAL_CASES = [
 def test_spatial_matches_reference_sampler(alpha, lam, radius, episodes, batch, geometry,
                                            workers):
     # same draws as the repeat + bincount sampler: identical counts, and
-    # interference equal up to the order of summation
+    # interference equal up to the order of summation; the frozen field's
+    # slot rate is the mean of its episodes' success fractions
     p = NetworkParams(lam=lam, alpha=alpha, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
     shape = BlockShape(5, 2)
     seed = 37
@@ -273,8 +304,16 @@ def test_spatial_matches_reference_sampler(alpha, lam, radius, episodes, batch, 
                            disk_radius=radius, geometry=geometry, workers=workers,
                            batch_size=batch)
     n = counts["n"]
-    assert rep["slot_rate"].n == n * shape.T and rep["run_freq"].n == n
-    assert rep["slot_rate"].value == counts["slot_cnt"] / (n * shape.T)
+    assert rep["run_freq"].n == n
+    if geometry == "per-slot":
+        assert rep["slot_rate"].n == n * shape.T
+        assert rep["slot_rate"].value == counts["slot_cnt"] / (n * shape.T)
+    else:
+        rates = counts["episode_rates"]
+        assert rep["slot_rate"].n == n
+        assert rep["slot_rate"].value == pytest.approx(np.mean(rates), rel=1e-12)
+        assert rep["slot_rate"].stderr == pytest.approx(
+            np.std(rates, ddof=1) / math.sqrt(n), rel=1e-6)
     assert rep["run_freq"].value == counts["run_cnt"] / n
     assert rep["block_success"].value == counts["z_cnt"] / n
     mean_pts = lam * math.pi * radius**2
@@ -337,12 +376,14 @@ def test_spatial_drawn_at_large_alpha_matches_closed_form():
     with np.errstate(all="raise"):
         rep = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), BlockShape(5, 2), 20_000,
                                seed=61, disk_radius=100.0)
-        # the frozen field correlates an episode's slots, so no z-test here
+        # the frozen field's stderr is taken over episodes; every slot of
+        # this run succeeds, so it is 0 and z uses the reference's spread
         frozen = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), BlockShape(5, 2), 2_000,
                                   seed=61, disk_radius=100.0, geometry="per-episode")
     assert rep["slot_rate"].stderr > 0.0
     assert abs(rep["slot_rate"].z_against(rho)) < 3.0
     assert frozen["slot_rate"].value > 0.999
+    assert abs(frozen["slot_rate"].z_against(rho)) < 3.0
 
 
 def test_interferer_gains_are_exact_below_the_cap():

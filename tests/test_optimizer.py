@@ -245,6 +245,22 @@ def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape)
                 assert arr[0] == fields[name][i], (name, i, P_prev)
 
 
+def test_block_recursion_calls_chi_once_per_block(monkeypatch):
+    # rho, delta_S rho and delta_C rho of every candidate go in one call
+    import blockaloha.optimizer as optimizer
+
+    real_chi, calls = optimizer.chi, []
+
+    def counting_chi(shape, x):
+        calls.append(np.shape(x))
+        return real_chi(shape, x)
+
+    monkeypatch.setattr(optimizer, "chi", counting_chi)
+    cfg = config(K=5, grid_step=0.25)
+    run_horizon(PARAMS, SHAPE, cfg)
+    assert calls == [(3, cfg.grid_values.size ** 3)] * cfg.K
+
+
 def test_history_scalar_conventions():
     cfg_post = config(K=3, grid_step=0.5)
     cfg_pred = config(K=3, grid_step=0.5, history_scalar="predominant")
