@@ -241,17 +241,18 @@ def _exact_row(name: str, target: float, value: float, tol: float) -> _Row:
     return _Row(name, target, value, math.nan, f"|diff| <= {tol}", abs(value - target) <= tol)
 
 
-# validate's spatial tier: the disk radius (m), the episodes of its drawn
-# lambda x 1 call and of its fading-integrated lambda x 2 call (the smallest
-# multiple of 50 whose standard error at the defaults is at most the drawn
-# 20,000 episodes' on each of the 14 seeds under benchmarks/reference), and
-# the rows of the drawn call, which leave out the interferers beyond the disk
-_DISK_RADIUS = 1500.0
+# validate's spatial tier: the disk radius (m), whose disk carries 96.8% of
+# the interference exponent at the defaults (the rest enters exactly), the
+# episodes of its drawn lambda x 1 call and of its fading-integrated lambda
+# x 2 call (the smallest multiple of 50 whose standard error at the defaults
+# was at most the drawn 20,000 episodes' on each of the 14 seeds under
+# benchmarks/reference on a 1500 m disk, lower still at 300 m), and the
+# density multiple of each spatial row
+_DISK_RADIUS = 300.0
 _SPATIAL_EPISODES = 20_000
 _INTEGRATED_EPISODES = 6_350
-_TRUNCATED_ROWS = (
-    "spatial_slot_rate_1", "spatial_run_freq_full_access", "spatial_vs_bernoulli_run_freq",
-)
+_SPATIAL_ROWS = {"spatial_slot_rate_1": 1.0, "spatial_run_freq_full_access": 1.0,
+                 "spatial_vs_bernoulli_run_freq": 1.0, "spatial_slot_rate_2": 2.0}
 
 
 def _validation_rows(cfg: RunConfig, scale: float, workers: int):
@@ -348,10 +349,8 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int):
 
     # -- spatial tier ----------------------------------------------------
     # The lambda x 1 rows draw every fading, the independent check of the
-    # fading model; their relative truncation bias 1 - exp(-lambda A_out(R)),
-    # ~6.5e-4 at the defaults (in validation.meta.json), is an order below
-    # the 3-sigma band.  The lambda x 2 row integrates the fading out and
-    # adds the outside field exactly, so it has no truncation bias.
+    # fading model; the lambda x 2 row integrates the fading out.  Both add
+    # the field outside the disk in its exact factor exp(-lambda A_out(R)).
     spatial_episodes = max(1, int(_SPATIAL_EPISODES * scale))
     full = AccessPolicy(1.0, 0.0, 0.0)
     for i, (lam_scale, fading, episodes) in enumerate((
@@ -393,7 +392,6 @@ def cmd_validate(cfg: RunConfig, scale: float = 1.0, workers: int = 1) -> int:
         tail = interference_tail(cfg.params, _DISK_RADIUS)
     except ValueError as exc:
         raise ConfigError(f"validate's spatial disk: {exc}") from exc
-    bias = -math.expm1(-cfg.params.lam * tail)
     rows = _validation_rows(cfg, scale, workers)
     comments = [
         "analytic vs Monte Carlo validation suite",
@@ -405,7 +403,8 @@ def cmd_validate(cfg: RunConfig, scale: float = 1.0, workers: int = 1) -> int:
     n_fail = sum(not r.passed for r in rows)
     _emit(cfg, "validate", "validation", comments, header, [astuple(r) for r in rows],
           rows=len(rows), failures=n_fail, episodes_scale=scale,
-          spatial_truncation_bias={name: bias for name in _TRUNCATED_ROWS})
+          spatial_outside_exponent={name: multiple * cfg.params.lam * tail
+                                    for name, multiple in _SPATIAL_ROWS.items()})
     width = max(len(r.name) for r in rows)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"

@@ -119,10 +119,10 @@ def _mean_estimate(moments, n) -> Estimate:
 
 
 def _centered(x: np.ndarray) -> list:
-    """[(count, sum, sum of squared deviations from the mean, whether every
-    value is 0 or 1)] of a float sample; batches concatenate these lists."""
+    """[(count, sum, sum of squared deviations from the mean, min, max, whether
+    every value is 0 or 1)] of a float sample; batches concatenate these lists."""
     binary = bool(((x == 0.0) | (x == 1.0)).all())
-    return [(x.size, x.sum(), ((x - x.mean()) ** 2).sum(), binary)]
+    return [(x.size, x.sum(), ((x - x.mean()) ** 2).sum(), x.min(), x.max(), binary)]
 
 
 def _pooled_estimate(parts: list) -> Estimate:
@@ -130,16 +130,20 @@ def _pooled_estimate(parts: list) -> Estimate:
 
     A 0/1 sample is a rate, with the binomial ``_rate_estimate``.  Others
     pool their parts' squared deviations (Chan, Golub & LeVeque 1983), so a
-    nearly constant sample keeps the variance that ``_moments`` loses.
+    nearly constant sample keeps the variance that ``_moments`` loses.  An
+    exactly constant one (min = max) has stderr 0, not the rounding noise of
+    its parts' means, so ``Estimate.z_against`` scores it binomially.
     """
-    counts, totals, _, binary = zip(*parts)
+    counts, totals, _, lows, highs, binary = zip(*parts)
     n, total = sum(counts), sum(totals)
     if all(binary):
         return _rate_estimate(total, n)
     mean = total / n
     if n == 1:
         return Estimate(mean, math.nan, 1)
-    sq_dev = sum(ss + count * (t / count - mean) ** 2 for count, t, ss, _ in parts)
+    if min(lows) == max(highs):
+        return Estimate(mean, 0.0, n)
+    sq_dev = sum(ss + count * (t / count - mean) ** 2 for count, t, ss, *_ in parts)
     return Estimate(mean, math.sqrt(sq_dev / (n - 1) / n), n)
 
 
@@ -355,14 +359,15 @@ def _slot_sums(rng, counts, disk_radius, params, reduce) -> np.ndarray:
     return sums
 
 
-def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
+def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry, outer):
     """Slot successes and interference, both of shape (n, T), of one batch.
 
     Draws: interferer counts per cell (a slot, or a frozen episode), their
     uniforms u, then per slot the interferer and the signal fading.  The
-    link holds when its fading beats s N0 plus the sum of the interferers'
-    faded gains g (r0/r)^a (``_interferer_gains``), which is the
-    interference returned, in units of the signal's xi r0^-a / g.
+    link holds when its Exp(1) fading beats ``outer`` plus the sum of the
+    interferers' faded gains g (r0/r)^a (``_interferer_gains``), which is
+    the interference returned, in units of the signal's xi r0^-a / g: so
+    with probability exp(-outer - interference) given the disk's field.
     ``per-slot`` uses each uniform once (``_slot_sums``) and reads the
     fading from a view of the same stream skipped past them.  ``per-episode``
     reuses each gain T times, so it keeps them all, and walks them in the
@@ -388,7 +393,7 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry):
                     rng, gains[lo : lo + size], counts[a:b], buffer[:size]
                 )
             signal[:, t] = rng.exponential(size=n)
-    return signal > noise_exponent(params) + interference, interference
+    return signal > outer + interference, interference
 
 
 def _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer):
@@ -422,25 +427,25 @@ def simulate_spatial(
 ) -> dict[str, Estimate]:
     """One-block spatial simulation of the typical link.
 
-    Interferers form a PPP of the policy's effective density on a disk;
-    every link carries unit-mean exponential fading redrawn each slot, and
-    the typical controller transmits in every slot, so the measured slot
-    rate estimates the access-conditional success probability.
+    Interferers form a PPP of the policy's effective density: those on a disk
+    of radius R are simulated, and the rest enter exactly, as the factor
+    exp(-lambda_eff A_out(R)) (``interference_tail``).  Fading is unit-mean
+    exponential, redrawn each slot, and the typical controller sends in every
+    slot, so the slot rate estimates ``slot_success_prob`` on any disk.
 
     ``geometry``: 'per-slot' (default) redraws the interferer field every
     slot, making slot successes i.i.d. as the closed-form block analytics
-    assume; 'per-episode' freezes it for the whole block, the static
-    network, whose correlated slots move run frequencies away from the
-    mean-field value (the meta-distribution effect, out of analytic scope).
+    assume; 'per-episode' freezes the disk's field for the whole block (the
+    static network), whose correlated slots move run frequencies off the
+    mean-field value (the meta-distribution effect).  Its slot marginals are
+    exact, but the correlation the frozen field beyond R adds is left out.
 
     ``fading`` selects what fills a batch's (n, T) array p of slot success
     probabilities: 'drawn' (default) draws every fading and p holds the 0/1
-    SINR outcomes; 'integrated' (``per-slot`` only) draws the positions
-    alone and p holds each slot's success probability given them
-    (``_slot_probs``), with the PPP outside the disk in its exact factor
-    exp(-lambda_eff A_out(R)), so it is unbiased for ``slot_success_prob``
-    itself, not for its disk-truncated value.  One body reduces p: the slot
-    rate, ``run_probability(p, v)`` (exact on 0/1 slots) and 1 - prod(1 - p),
+    SINR outcomes (``_spatial_slots``); 'integrated' (``per-slot`` only)
+    draws the positions alone and p holds each slot's success probability
+    given them (``_slot_probs``).  One body reduces p: the slot rate,
+    ``run_probability(p, v)`` (exact on 0/1 slots) and 1 - prod(1 - p),
     each averaged over independent cells: episodes, and for the 'per-slot'
     slot rate, slots.  0/1 samples get binomial standard errors.
     """
@@ -450,24 +455,20 @@ def simulate_spatial(
         raise ValueError(f"unknown fading mode {fading!r}")
     if fading == "integrated" and geometry != "per-slot":
         raise ValueError("integrated fading needs the per-slot geometry")
-    dens = effective_densities(params, policy, P_O_prev)
-    lam_eff = dens.lambda_eff
+    lam_eff = effective_densities(params, policy, P_O_prev).lambda_eff
     if disk_radius is None:
         disk_radius = default_disk_radius(lam_eff)
-    elif not 0.0 < disk_radius < math.inf:
-        raise ValueError(f"disk_radius must be finite and > 0, got {disk_radius}")
     T, v = shape.T, shape.v
     mean_pts = lam_eff * math.pi * disk_radius**2
-    integrated = fading == "integrated"
-    if integrated:
-        outer = noise_exponent(params) + lam_eff * interference_tail(params, disk_radius)
+    outer = noise_exponent(params) + lam_eff * interference_tail(params, disk_radius)
 
     @np.errstate(under="ignore")  # a far interferer's gain may round to 0
     def batch(rng, n):
-        if integrated:
+        if fading == "integrated":
             p = _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer)
         else:
-            p = _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry)[0].astype(float)
+            p = _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry,
+                               outer)[0].astype(float)
         return {
             "slot_rate": _centered(p.mean(axis=1) if geometry == "per-episode" else p),
             "run_freq": _centered(run_probability(p, v)),

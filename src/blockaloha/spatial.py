@@ -211,9 +211,9 @@ def slot_success_prob(
 def default_disk_radius(lambda_eff: float, bias_target: float = 0.01) -> float:
     """Simulation disk radius keeping the expected point count near 100/bias_target.
 
-    Truncation bias of the ignored far interferers decays as R^(2-alpha);
-    the radius is capped at 5000 m, which at the default bias_target binds for
-    lambda_eff up to 4e-4/pi (about 1.27e-4; at 1.3e-4 the radius is 4948 m).
+    The spatial tier adds the field beyond the disk exactly, so the radius
+    sets its cost, not a bias; the 5000 m cap binds at the default
+    bias_target for lambda_eff up to 4e-4/pi (about 1.27e-4; 4948 m at 1.3e-4).
     """
     if lambda_eff <= 0.0:
         return 5000.0

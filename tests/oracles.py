@@ -30,6 +30,7 @@ from blockaloha import (
     slot_success_prob,
 )
 from blockaloha.latency import VIRTUAL_BLOCK_MODES, _ex_term, _pcl_weights
+from blockaloha.spatial import interference_tail
 
 
 def max_run(bits) -> int:
@@ -193,14 +194,17 @@ def sample_sinr_success(params, lambda_eff, rng, disk_radius=None) -> bool:
     return signal > params.gamma * (params.N0 + interference)
 
 
-def spatial_slots_reference(rng, n, T, mean_pts, disk_radius, params, geometry):
+def spatial_slots_reference(rng, n, T, mean_pts, disk_radius, params, geometry, outside):
     """One spatial batch with a per-interferer owner index and ``np.bincount``.
 
     Same draws, same order and same (n, T) results (slot successes and
     interference) as ``blockaloha.montecarlo._spatial_slots``; every
-    intermediate holds one entry per interferer.
+    intermediate holds one entry per interferer.  A slot succeeds when its
+    signal power beats gamma (N0 + interference) plus the outside-disk
+    exponent ``outside`` (lambda_eff A_out(R)) in watts of signal.
     """
     signal_scale = params.xi * params.r0 ** (-params.alpha)
+    outside_power = outside * signal_scale
     if geometry == "per-episode":
         counts = rng.poisson(mean_pts, size=n)
         owner = np.repeat(np.arange(n), counts)
@@ -212,7 +216,8 @@ def spatial_slots_reference(rng, n, T, mean_pts, disk_radius, params, geometry):
             fading = rng.exponential(size=attenuation.size)
             interference[:, t] = np.bincount(owner, weights=attenuation * fading, minlength=n)
             signal = signal_scale * rng.exponential(size=n)
-            slot_success[:, t] = signal > params.gamma * (params.N0 + interference[:, t])
+            slot_success[:, t] = (signal > params.gamma * (params.N0 + interference[:, t])
+                                  + outside_power)
     elif geometry == "per-slot":
         counts = rng.poisson(mean_pts, size=n * T)
         owner = np.repeat(np.arange(n * T), counts)
@@ -220,7 +225,8 @@ def spatial_slots_reference(rng, n, T, mean_pts, disk_radius, params, geometry):
         power = params.xi * radii ** (-params.alpha) * rng.exponential(size=radii.size)
         interference = np.bincount(owner, weights=power, minlength=n * T)
         signal = signal_scale * rng.exponential(size=n * T)
-        slot_success = (signal > params.gamma * (params.N0 + interference)).reshape(n, T)
+        threshold = params.gamma * (params.N0 + interference) + outside_power
+        slot_success = (signal > threshold).reshape(n, T)
         interference = interference.reshape(n, T)
     else:
         raise ValueError(geometry)
@@ -251,12 +257,13 @@ def spatial_reference(params, lambda_eff, T, v, episodes, seed, disk_radius, geo
     stream, size, interference) triples.
     """
     mean_pts = lambda_eff * np.pi * disk_radius**2
+    outside = lambda_eff * interference_tail(params, disk_radius)
     counts = {"slot_cnt": 0, "run_cnt": 0, "z_cnt": 0, "n": 0, "episode_rates": []}
     batches = []
     for i, lo in enumerate(range(0, episodes, batch_size)):
         n = min(batch_size, episodes - lo)
         ok, interference = spatial_slots_reference(
-            episode_rng(seed, i), n, T, mean_pts, disk_radius, params, geometry
+            episode_rng(seed, i), n, T, mean_pts, disk_radius, params, geometry, outside
         )
         runs = [max_run(row) >= v for row in ok.tolist()]
         counts["slot_cnt"] += int(ok.sum())

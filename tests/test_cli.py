@@ -73,7 +73,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "K=2",
                        "--set", setting) == 2
         assert "config error:" in capsys.readouterr().err
-    # validate's 1500 m spatial disk must reach 2^(1/alpha) r0 gamma^(1/alpha)
+    # validate's 300 m spatial disk must reach 2^(1/alpha) r0 gamma^(1/alpha)
     assert run_cli("validate", "--outdir", str(tmp_path), "--set", "r0=3000") == 2
     assert "config error:" in capsys.readouterr().err
     assert load_run_config(None, {"seed": str(2**64 - 8)}).seed == 2**64 - 8
@@ -244,14 +244,14 @@ def test_validate_quick_passes_and_is_deterministic(tmp_path):
     lines = (d1 / "validation.csv").read_text().splitlines()
     rows = [l for l in lines if not l.startswith("#")][1:]
     assert len(rows) >= 10
-    # the drawn spatial rows' truncation bias goes to the sidecar only
+    # each spatial row's closed-form outside-disk exponent goes to the sidecar
     cfg = load_run_config()
-    tail = interference_tail(cfg.params, 1500.0)
-    bias = json.loads((d1 / "validation.meta.json").read_text())["spatial_truncation_bias"]
-    assert bias == dict.fromkeys(
-        ["spatial_slot_rate_1", "spatial_run_freq_full_access",
-         "spatial_vs_bernoulli_run_freq"], -math.expm1(-cfg.params.lam * tail))
-    assert 6.4e-4 < bias["spatial_slot_rate_1"] < 6.6e-4
+    lam_tail = cfg.params.lam * interference_tail(cfg.params, 300.0)
+    exponent = json.loads((d1 / "validation.meta.json").read_text())["spatial_outside_exponent"]
+    assert exponent == {"spatial_slot_rate_1": lam_tail, "spatial_run_freq_full_access": lam_tail,
+                        "spatial_vs_bernoulli_run_freq": lam_tail,
+                        "spatial_slot_rate_2": 2.0 * lam_tail}
+    assert 3.2e-3 < exponent["spatial_slot_rate_1"] < 3.3e-3
     assert all(len(row.split(",")) == 6 for row in rows)
 
 
@@ -269,6 +269,7 @@ def test_validate_equal_estimates_score_z_zero(tmp_path):
 @pytest.mark.parametrize("overrides, scale", [
     (("lambda=1e-12",), "0.05"),  # every drawn slot succeeds; rho = 1 - 1.6e-15
     (("alpha=300", "r0=0.5"), "0.01"),  # every slot of a small run succeeds
+    (("lambda=1e-13",), "0.05"),  # the integrated slots hold one constant probability
 ])
 def test_validate_passes_where_a_spatial_rate_sample_is_constant(tmp_path, overrides, scale):
     # a sample with no failure has zero stderr; it is scored against the

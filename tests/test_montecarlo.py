@@ -47,9 +47,9 @@ def hist_of(p_seq, T):
     return BlockHistory(T, tuple(p_seq), (0.0,) * k, (0.0,) * k)
 
 
-def assert_within(est, analytic, sigmas=3.0, slack=0.0):
+def assert_within(est, analytic, sigmas=3.0):
     assert est.n > 0
-    assert abs(est.value - analytic) <= sigmas * est.stderr + slack, (
+    assert abs(est.value - analytic) <= sigmas * est.stderr, (
         f"{est.value} vs {analytic} (se={est.stderr}, n={est.n})"
     )
 
@@ -180,8 +180,8 @@ def test_spatial_slot_rate_matches_closed_form():
     rep = simulate_spatial(
         PARAMS, AccessPolicy(1.0, 0.0, 0.0), shape, 6_000, seed=19, disk_radius=1500.0
     )
-    # 3 sigma plus the documented far-field truncation bias (~7e-4)
-    assert_within(rep["slot_rate"], analytic, slack=7e-4)
+    # no slack: the field beyond the disk enters through its exact factor
+    assert_within(rep["slot_rate"], analytic)
 
 
 def test_spatial_run_freq_matches_chi_per_slot_geometry():
@@ -190,7 +190,7 @@ def test_spatial_run_freq_matches_chi_per_slot_geometry():
     rep = simulate_spatial(
         PARAMS, AccessPolicy(1.0, 0.0, 0.0), shape, 6_000, seed=20, disk_radius=1500.0
     )
-    assert_within(rep["run_freq"], chi(shape, analytic), slack=2e-3)
+    assert_within(rep["run_freq"], chi(shape, analytic))
 
 
 def test_spatial_integrated_matches_closed_form():
@@ -217,6 +217,18 @@ def test_spatial_integrated_has_no_truncation_bias():
     assert abs(rep["slot_rate"].value - truncated) > 5 * rep["slot_rate"].stderr
 
 
+def test_spatial_drawn_has_no_truncation_bias():
+    # as for the integrated fading: on a 300 m disk the drawn slots centre on
+    # rho, not on the disk-truncated rho exp(lam A_out), 6.5e-3 relative away
+    p = NetworkParams(lam=2e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
+    rho = slot_success_prob(p, p.lam)
+    rep = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), BlockShape(5, 2), 60_000, seed=41,
+                           disk_radius=300.0)
+    assert_within(rep["slot_rate"], rho)
+    truncated = rho * math.exp(p.lam * interference_tail(p, 300.0))
+    assert abs(rep["slot_rate"].value - truncated) > 5 * rep["slot_rate"].stderr
+
+
 def test_spatial_per_episode_geometry_shows_correlation():
     # frozen geometry correlates slots; for T=5, v=2 at these parameters the
     # run frequency drops ~0.04 below the i.i.d.-slot value (meta-distribution
@@ -233,8 +245,8 @@ def test_spatial_per_episode_geometry_shows_correlation():
         geometry="per-episode",
     )
     assert rep["run_freq"].value < chi(shape, analytic) - 0.02
-    # the per-slot marginal is unbiased either way
-    assert_within(rep["slot_rate"], analytic, slack=7e-4)
+    # the per-slot marginal is exact either way
+    assert_within(rep["slot_rate"], analytic)
 
 
 def test_spatial_per_episode_slot_rate_stderr_is_calibrated():
@@ -264,6 +276,18 @@ def test_z_against_scores_a_constant_sample_against_the_reference_spread():
                           (0.0, 1.0, math.inf), (2.5, 2.5, 0.0), (2.5, 3.0, math.inf)]:
         assert Estimate(value, 0.0, 100).z_against(ref) == z
     assert Estimate(0.6, 0.05, 100).z_against(0.5) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_spatial_constant_sample_has_zero_stderr_over_batches():
+    # at lam = 1e-13 no slot of this run holds an interferer, so every slot
+    # probability is the same constant; its four batches' means differ in
+    # the last bits, which must not read as a standard error
+    p = NetworkParams(lam=1e-13, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
+    rep = simulate_spatial(p, AccessPolicy(1.0, 0.0, 0.0), BlockShape(5, 2), 6_350, seed=7,
+                           disk_radius=300.0, fading="integrated")
+    for key in ("slot_rate", "run_freq", "block_success"):
+        assert rep[key].stderr == 0.0
+    assert abs(rep["slot_rate"].z_against(slot_success_prob(p, p.lam))) < 3.0
 
 
 def test_spatial_zero_interference():
@@ -317,10 +341,11 @@ def test_spatial_matches_reference_sampler(alpha, lam, radius, episodes, batch, 
     assert rep["run_freq"].value == counts["run_cnt"] / n
     assert rep["block_success"].value == counts["z_cnt"] / n
     mean_pts = lam * math.pi * radius**2
+    outer = noise_exponent(p) + lam * interference_tail(p, radius)
     empty_batches = empty_cells = 0
     for i, size, ref in batches:
         ok, interference = _spatial_slots(
-            episode_rng(seed, i), size, shape.T, mean_pts, radius, p, geometry
+            episode_rng(seed, i), size, shape.T, mean_pts, radius, p, geometry, outer
         )
         assert ok.shape == interference.shape == ref.shape == (size, shape.T)
         # the package sums gains g (r0/r)^a, the oracle powers in watts
@@ -500,7 +525,8 @@ def test_skipped_stream_starts_after_m_raw_outputs(m):
         dict(workers=0),
         dict(fading="exact"),
         dict(fading="integrated", geometry="per-episode"),
-        dict(fading="integrated", disk_radius=10.0),  # inside 2^(1/3) r0 gamma^(1/3)
+        dict(disk_radius=10.0),  # inside 2^(1/3) r0 gamma^(1/3)
+        dict(fading="integrated", disk_radius=10.0),
     ],
 )
 def test_spatial_rejects_bad_arguments(bad):
@@ -540,7 +566,7 @@ def test_bernoulli_reproduces_spatial_block_statistics():
     for key_s, key_b in [("run_freq", "run_freq_b1"), ("block_success", "block_success_b1")]:
         diff = spatial[key_s].value - bern[key_b].value
         se = math.hypot(spatial[key_s].stderr, bern[key_b].stderr)
-        assert abs(diff) <= 3 * se + 2e-3
+        assert abs(diff) <= 3 * se
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303, 404, 505])
