@@ -1,9 +1,11 @@
 """Independent oracles shared across test modules.
 
 These deliberately avoid the library's own code paths: run detection walks
-bit patterns, the latency/age expectations enumerate every outcome of
-the block process and weight it by its Bernoulli probability, and the
-spatial samplers build every interferer's power as its own array entry.
+bit patterns or compares cumulative counts over windows, where the library
+reads packed bytes through tables; the latency/age expectations enumerate
+every outcome of the block process and weight it by its Bernoulli
+probability; and the spatial samplers build every interferer's power as
+its own array entry.
 The array forms of the peak latency and peak age sum the gap weights of a
 whole ``BlockHistory`` at once, where the library's ``HistoryState`` keeps
 running sums.  The scalar reference pipeline at the end evaluates one
@@ -39,6 +41,28 @@ def max_run(bits) -> int:
         run = run + 1 if b else 0
         best = max(best, run)
     return best
+
+
+def has_run(bits: np.ndarray, v: int) -> np.ndarray:
+    """True where the trailing axis contains >= v consecutive ones: a window
+    of v slots whose cumulative success counts differ by v."""
+    if v == 1:
+        return bits.any(axis=-1)
+    c = np.cumsum(bits, axis=-1, dtype=np.int32)
+    pad = np.zeros(bits.shape[:-1] + (1,), dtype=np.int32)
+    c = np.concatenate([pad, c], axis=-1)
+    window = c[..., v:] - c[..., :-v]
+    return (window == v).any(axis=-1)
+
+
+def block_stats_reference(bits: np.ndarray, v: int):
+    """(ones, first one, last one, run of >= v ones) along the trailing axis
+    by sum, argmax and ``has_run``; first and last are -1 where it has no one."""
+    T = bits.shape[-1]
+    hit = bits.any(axis=-1)
+    first = np.where(hit, np.argmax(bits, axis=-1), -1)
+    last = np.where(hit, T - 1 - np.argmax(bits[..., ::-1], axis=-1), -1)
+    return bits.sum(axis=-1), first, last, has_run(bits, v)
 
 
 def chi_by_enumeration(T: int, v: int, x: float) -> float:

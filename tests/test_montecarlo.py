@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from blockaloha import (
 )
 from blockaloha.montecarlo import (
     _GAIN_CAP,
+    _block_stats,
     _interferer_gains,
     _skipped,
     _slot_probs,
@@ -31,6 +34,7 @@ from blockaloha.montecarlo import (
 )
 from blockaloha.spatial import interference_tail, noise_exponent
 from oracles import (
+    block_stats_reference,
     expected_pcl,
     first_time_controllability,
     instantaneous_controllability,
@@ -40,6 +44,7 @@ from oracles import (
 )
 
 PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
+PINS = json.loads((Path(__file__).parent / "block_pins.json").read_text())
 
 
 def hist_of(p_seq, T):
@@ -491,6 +496,93 @@ def test_bernoulli_batch_peak_memory_does_not_grow_with_blocks():
         finally:
             tracemalloc.stop()
     assert peaks[300] < 1.5 * peaks[3], peaks
+
+
+def test_bernoulli_batch_peak_memory_does_not_grow_with_block_bytes():
+    # T=40 packs five bytes per block and walks them one at a time, so a
+    # chunk's state stays O(chunk), not O(T x chunk): the peak grows neither
+    # with the blocks nor past the one-byte T=5 peak
+    peaks = {}
+    for T, k in ((5, 3), (40, 3), (40, 300)):
+        tracemalloc.start()
+        try:
+            simulate_bernoulli((0.5,) * k, BlockShape(T, 2), 5_000, 3, batch_size=5_000)
+            _, peaks[T, k] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[40, 300] < 1.5 * peaks[40, 3], peaks
+    assert peaks[40, 3] < 1.5 * peaks[5, 3], peaks
+
+
+def assert_block_stats(bits, v):
+    ones, first, last, longest = _block_stats(bits)
+    ref_ones, ref_first, ref_last, ref_run = block_stats_reference(bits, v)
+    np.testing.assert_array_equal(ones, ref_ones)
+    np.testing.assert_array_equal(first, ref_first)
+    np.testing.assert_array_equal(last, ref_last)
+    np.testing.assert_array_equal(longest >= v, ref_run)
+    rows = bits.reshape(-1, bits.shape[-1]).tolist()
+    np.testing.assert_array_equal(longest.reshape(-1), [max_run(row) for row in rows])
+
+
+def test_block_stats_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        T=st.integers(1, 200),
+        p=st.one_of(st.just(0.0), st.floats(0.05, 0.95), st.just(1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def agree(T, p, seed, data):
+        v = data.draw(st.integers(1, T), label="v")
+        assert_block_stats(np.random.default_rng(seed).random((16, 3, T)) < p, v)
+
+    agree()
+
+
+@pytest.mark.parametrize("T, v, ones_at, longest", [
+    (9, 2, [7, 8], 2),  # slots 8-9: the last bit of byte 0 and the first of byte 1
+    (9, 3, [7, 8], 2),
+    (16, 9, range(4, 13), 9),
+    (16, 9, [*range(8), *range(9, 16)], 8),
+    (24, 24, range(24), 24),  # the run carries through a whole 0xFF byte
+    (24, 9, [*range(3, 21)], 18),
+    (17, 1, [16], 1),
+])
+def test_block_stats_runs_cross_byte_boundaries(T, v, ones_at, longest):
+    bits = np.zeros((2, T), dtype=bool)
+    bits[1, list(ones_at)] = True
+    assert _block_stats(bits)[3].tolist() == [0, longest]
+    assert_block_stats(bits, v)
+
+
+@pytest.mark.parametrize("T", [1, 5, 8, 9, 40])
+def test_block_stats_without_successes(T):
+    ones, first, last, longest = _block_stats(np.zeros((3, 2, T), dtype=bool))
+    for stat, empty in ((ones, 0), (first, -1), (last, -1), (longest, 0)):
+        assert stat.shape == (3, 2) and (stat == empty).all()
+
+
+@pytest.mark.parametrize("case", PINS["bernoulli"],
+                         ids=lambda c: f"T{c['T']}-v{c['v']}-{c['virtual_block']}")
+def test_bernoulli_multibyte_blocks_match_pinned_values(case):
+    rep = simulate_bernoulli(case["p_seq"], BlockShape(case["T"], case["v"]), case["episodes"],
+                             case["seed"], virtual_block=case["virtual_block"],
+                             batch_size=case["batch_size"])
+    assert rep == {key: Estimate(*est) for key, est in case["estimates"].items()}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", PINS["policy_chain"], ids=lambda c: f"T{c['T']}-v{c['v']}")
+def test_policy_chain_multibyte_blocks_match_pinned_values(case, workers):
+    policies = [AccessPolicy(*pol) for pol in case["policies"]]
+    rep = simulate_policy_chain(BlockShape(case["T"], case["v"]), policies, case["rho_seq"],
+                                case["episodes"], case["seed"], workers=workers,
+                                batch_size=case["batch_size"])
+    assert rep == {key: Estimate(*est) for key, est in case["estimates"].items()}
 
 
 @pytest.mark.parametrize("m", [*range(10), 65_537, 200_003])
