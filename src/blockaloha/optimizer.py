@@ -8,7 +8,9 @@ into a fixed-size ``HistoryState`` that feeds the next block's gap
 distribution, so each block costs the same however long the horizon runs.
 
 The grid scan is vectorized over candidates and is the only path that
-computes the per-candidate quantities.  Its controllability recursion,
+computes the per-candidate quantities.  It walks the grid in slices of
+2,048 candidates, last slice first, and keeps only their costs, so its
+memory is O(slice) plus one cost array.  Its controllability recursion,
 ``block_recursion``, is also what ``validate`` evaluates its policy chain
 with.  The tests hold both to a scalar reference of the same pipeline that
 computes the peak latency and age with array formulas of its own;
@@ -42,6 +44,9 @@ __all__ = [
 CDF_MODES = ("indicator", "grid-rank")
 HISTORY_SCALAR_MODES = ("posterior", "predominant")
 _TIE_TOL = 1e-12
+# candidates per _evaluate_grid call: a slice's largest array, (3, 2048)
+# float64, is 48 KiB, so the heap keeps its pages from block to block
+_SCAN_SLICE = 2048
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,12 @@ def optimize_block(
     model, and once P_O saturates numerically the cost goes exactly flat in
     delta_S, so the slot-access side of the flat ridge is kept to preserve
     the post-transition policy.)
+
+    ``indicator`` mode scores the grid in slices from last to first, so the
+    slice in hand at the end holds the smallest delta_B; a winner outside it
+    is evaluated again alone, which gives the same bits.  ``grid-rank``
+    ranks each candidate against the whole grid, so it scans the grid as
+    one slice.
     """
     if state is None:
         state = HistoryState.start(shape.T, config.virtual_block, config.eta_pcl)
@@ -234,17 +245,26 @@ def optimize_block(
     vals = config.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
-    fields = _evaluate_grid(P_O_prev, state, params, shape, config, dB, dS, dC)
-    cost = fields["cost"]
+
+    def scan(part):
+        return _evaluate_grid(P_O_prev, state, params, shape, config, dB[part], dS[part], dC[part])
+
+    step = _SCAN_SLICE if config.cdf_mode == "indicator" else dB.size
+    cost = np.empty(dB.size)
+    for lo in reversed(range(0, dB.size, step)):
+        fields = scan(slice(lo, lo + step))
+        cost[lo : lo + step] = fields["cost"]
     ties = np.flatnonzero(cost >= cost.max() - _TIE_TOL)
     order = np.lexsort((dC[ties], -dS[ties], dB[ties]))
     best = int(ties[order[0]])
+    if best >= lo + step:  # the winner's slice is gone: evaluate it alone
+        lo, fields = best, scan(slice(best, best + 1))
     policy = AccessPolicy(float(dB[best]), float(dS[best]), float(dC[best]))
-    p_scalar = float(fields["p_scalar"][best])
+    p_scalar = float(fields["p_scalar"][best - lo])
     theta = state.peak_metrics(p_scalar) if p_scalar > 0.0 else (math.nan, math.nan)
     record = MetricsRecord(
         k, *policy.as_tuple(), theta_pl=theta[0], theta_pa=theta[1],
-        **{name: float(arr[best]) for name, arr in fields.items()},
+        **{name: float(arr[best - lo]) for name, arr in fields.items()},
     )
     return policy, record
 

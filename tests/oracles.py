@@ -11,7 +11,9 @@ whole ``BlockHistory`` at once, where the library's ``HistoryState`` keeps
 running sums.  The scalar reference pipeline at the end evaluates one
 candidate policy at a time from the library's scalar building blocks and
 those array forms; the optimizer's vectorized grid scan and its running-sum
-``HistoryState`` are tested against it.
+``HistoryState`` are tested against it.  ``optimize_block_reference``
+scores the whole grid in one ``_evaluate_grid`` call, the form the
+optimizer's sliced scan must reproduce bit for bit.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from blockaloha import (
+    AccessPolicy,
     BlockHistory,
     HistoryState,
     MetricsRecord,
@@ -32,6 +35,7 @@ from blockaloha import (
     slot_success_prob,
 )
 from blockaloha.latency import VIRTUAL_BLOCK_MODES, _ex_term, _pcl_weights
+from blockaloha.optimizer import _evaluate_grid
 from blockaloha.spatial import interference_tail
 
 
@@ -508,4 +512,28 @@ def evaluate_candidate(k, policy, P_O_prev, hist, params, shape, config) -> Metr
         record,
         theta_pl=array_peak_latency(full, config.virtual_block),
         theta_pa=array_paoi(full, config.virtual_block),
+    )
+
+
+def optimize_block_reference(k, P_O_prev, state, params, shape, config):
+    """``optimize_block`` with the whole grid in one ``_evaluate_grid`` call.
+
+    Scores every candidate at once, applies the documented tie-break (cost
+    within 1e-12 of the maximum, then the smallest delta_B, the largest
+    delta_S and the smallest delta_C) and builds the record at the winner.
+    ``state`` covers blocks 1..k-1.
+    """
+    vals = config.grid_values
+    B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
+    dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
+    fields = _evaluate_grid(P_O_prev, state, params, shape, config, dB, dS, dC)
+    cost = fields["cost"]
+    ties = np.flatnonzero(cost >= cost.max() - 1e-12)
+    best = int(ties[np.lexsort((dC[ties], -dS[ties], dB[ties]))[0]])
+    policy = AccessPolicy(float(dB[best]), float(dS[best]), float(dC[best]))
+    p_scalar = float(fields["p_scalar"][best])
+    theta = state.peak_metrics(p_scalar) if p_scalar > 0.0 else (math.nan, math.nan)
+    return policy, MetricsRecord(
+        k, *policy.as_tuple(), theta_pl=theta[0], theta_pa=theta[1],
+        **{name: float(arr[best]) for name, arr in fields.items()},
     )

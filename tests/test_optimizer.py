@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +23,14 @@ from oracles import (
     evaluate_candidate,
     first_time_controllability,
     history_state,
+    optimize_block_reference,
 )
 
 PARAMS = NetworkParams(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
 SHAPE = BlockShape(5, 2)
+# the horizon-congested network: its winners at low P_O_prev lie outside the
+# sliced scan's first slice
+CONGESTED = (NetworkParams(2e-3, 3.5, 0.2, 1.0, 1e-15, 30.0), BlockShape(10, 5))
 
 
 def config(**over):
@@ -220,10 +226,7 @@ def test_grid_rank_mode_runs_and_orders():
     assert score[i_best] == score[valid].max()
 
 
-@pytest.mark.parametrize(
-    "params, shape",
-    [(PARAMS, SHAPE), (NetworkParams(2e-3, 3.5, 0.2, 1.0, 1e-15, 30.0), BlockShape(10, 5))],
-)
+@pytest.mark.parametrize("params, shape", [(PARAMS, SHAPE), CONGESTED])
 def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape):
     # validate's policy chain evaluates one candidate at a time: it must
     # read the very numbers the grid scan computes
@@ -246,7 +249,9 @@ def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape)
 
 
 def test_block_recursion_calls_chi_once_per_block(monkeypatch):
-    # rho, delta_S rho and delta_C rho of every candidate go in one call
+    # rho, delta_S rho and delta_C rho of every candidate in a slice go in
+    # one call; a grid of more than one slice may add one call for a winner
+    # whose slice the scan has already dropped
     import blockaloha.optimizer as optimizer
 
     real_chi, calls = optimizer.chi, []
@@ -259,6 +264,63 @@ def test_block_recursion_calls_chi_once_per_block(monkeypatch):
     cfg = config(K=5, grid_step=0.25)
     run_horizon(PARAMS, SHAPE, cfg)
     assert calls == [(3, cfg.grid_values.size ** 3)] * cfg.K
+
+    lone = 0
+    for params, shape in ((PARAMS, SHAPE), CONGESTED):
+        cfg = config(K=5, grid_step=0.05)
+        n = cfg.grid_values.size ** 3
+        for k in range(1, cfg.K + 1):
+            calls.clear()
+            hist = [0.9] * (k - 1)
+            state = HistoryState.fold(shape.T, cfg.virtual_block, cfg.eta_pcl, hist, hist, hist)
+            optimize_block(k, 0.1 * (k - 1), state, params, shape, cfg)
+            sliced = [c for c in calls if c != (3, 1)]
+            assert all(c[0] == 3 and c[1] <= optimizer._SCAN_SLICE for c in sliced)
+            assert sum(c[1] for c in sliced) == n
+            assert len(calls) - len(sliced) <= 1
+            lone += len(calls) - len(sliced)
+    assert lone > 0  # the one-candidate evaluation was exercised
+
+
+@pytest.mark.parametrize(
+    "params, shape, cdf_mode, history_scalar, virtual_block, grid_step",
+    [
+        (*net, *modes)
+        for net, *modes in itertools.product(
+            [(PARAMS, SHAPE), CONGESTED], ["indicator", "grid-rank"],
+            ["posterior", "predominant"], ["extend", "boundary"], [0.1, 0.05, 0.025],
+        )
+    ],
+)
+def test_sliced_scan_equals_the_whole_grid_bitwise(
+    params, shape, cdf_mode, history_scalar, virtual_block, grid_step
+):
+    # P_O_prev = 1 makes the cost flat in delta_B and delta_S, so its tie set
+    # spans every slice
+    cfg = config(grid_step=grid_step, cdf_mode=cdf_mode, history_scalar=history_scalar,
+                 virtual_block=virtual_block)
+    hist = BlockHistory(shape.T, (0.8, 0.7), (0.6, 0.5), (0.5, 0.4))
+    state = state_of(hist, cfg)
+    for P_prev in (0.0, 0.37, 1.0):
+        got = optimize_block(3, P_prev, state, params, shape, cfg)
+        want = optimize_block_reference(3, P_prev, state, params, shape, cfg)
+        assert got[0] == want[0]
+        # repr is exact for floats, tells -0.0 from 0.0 and matches NaN to NaN
+        for name, value in dataclasses.asdict(got[1]).items():
+            assert repr(value) == repr(getattr(want[1], name)), (name, P_prev)
+
+
+def test_sliced_scan_memory_is_bounded_by_the_slice():
+    # 68,921 candidates: the whole-grid scan peaks at about 18.5 MiB
+    cfg = config(grid_step=0.025)
+    optimize_block(1, 0.0, None, PARAMS, SHAPE, cfg)  # first-use caches
+    tracemalloc.start()
+    try:
+        optimize_block(1, 0.0, None, PARAMS, SHAPE, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_history_scalar_conventions():
