@@ -248,13 +248,14 @@ def simulate_bernoulli(
             ones0, last0 = np.ones(n, dtype=np.int64), np.full(n, T - 1)
         zk = ones[:, k - 1] > 0
         X = first[:, k - 1]
-        # success and trailing failure run (meaningful only where Z holds) of blocks 0..k-1
-        Zfull = np.concatenate([ones0[:, None], ones[:, : k - 1]], axis=1) > 0
-        Wfull = T - 1 - np.concatenate([last0[:, None], last[:, : k - 1]], axis=1)
-        any_prior = Zfull.any(axis=1)
-        prior = k - 1 - np.argmax(Zfull[:, ::-1], axis=1)
-        kappa = np.where(any_prior, k - prior, 0)
-        w_prev = np.where(any_prior, Wfull[np.arange(n), prior], 0)
+        # gap to the last successful block j of blocks 0..k-1 and its trailing failure run
+        kappa = np.zeros(n, dtype=np.int64)
+        w_prev = np.zeros(n, dtype=np.int64)
+        for j in range(k):
+            ones_j, last_j = (ones0, last0) if j == 0 else (ones[:, j - 1], last[:, j - 1])
+            hit = ones_j > 0
+            np.copyto(kappa, k - j, where=hit)
+            np.copyto(w_prev, T - 1 - last_j, where=hit)
 
         L = T * (kappa - 1) + w_prev + X + 1
         D = kappa * T + X + 1

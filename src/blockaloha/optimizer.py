@@ -8,14 +8,16 @@ into a fixed-size ``HistoryState`` that feeds the next block's gap
 distribution, so each block costs the same however long the horizon runs.
 
 The grid scan is vectorized over candidates and is the only path that
-computes the per-candidate quantities.  It walks the grid in slices of
-2,048 candidates, last slice first, and keeps only their costs, so its
-memory is O(slice) plus one cost array.  Its controllability recursion,
-``block_recursion``, is also what ``validate`` evaluates its policy chain
-with.  The tests hold both to a scalar reference of the same pipeline that
-computes the peak latency and age with array formulas of its own;
-``BlockHistory`` is only the input record of the public convenience
-functions in ``latency``, not a second form of the formulas.
+computes the per-candidate quantities.  Its only history input is one
+scalar, the gap distribution's conditional cdf at eta_pcl, read once per
+block.  It walks the grid in slices of 2,048 candidates, last slice first,
+and keeps only their costs, so its memory is O(slice) plus one cost array.
+Its controllability recursion, ``block_recursion``, is also what
+``validate`` evaluates its policy chain with.  The tests hold both to a
+scalar reference of the same pipeline that computes the peak latency and
+age with array formulas of its own; ``BlockHistory`` is only the input
+record of the public convenience functions in ``latency``, not a second
+form of the formulas.
 """
 
 from __future__ import annotations
@@ -161,8 +163,9 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
     }
 
 
-def _evaluate_grid(P_O_prev, state, params, shape, config, dB, dS, dC):
-    """Vectorized per-block evaluation pipeline over candidate arrays."""
+def _evaluate_grid(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
+    """Vectorized per-block evaluation pipeline over candidate arrays; the history
+    enters only as ``cdf_pcl_cond``, its ``pcl_context()[0]``."""
     T = shape.T
     fields = block_recursion(P_O_prev, params, shape, dB, dS, dC)
     rho = fields["rho"]
@@ -189,7 +192,6 @@ def _evaluate_grid(P_O_prev, state, params, shape, config, dB, dS, dC):
             worse = n_valid - np.searchsorted(order, vals, side="right")
             cdf_curr[valid] = worse / n_valid * pz[valid]
 
-    cdf_pcl_cond, pcl_mean = state.pcl_context()
     cdf_pcl = cdf_pcl_cond * fields["P_O_tilde"]
     cost = fields["P_O"] + config.rho1 * cdf_curr + config.rho2 * cdf_pcl
     if config.history_scalar == "predominant":
@@ -201,7 +203,6 @@ def _evaluate_grid(P_O_prev, state, params, shape, config, dB, dS, dC):
         "p_scalar": p_scalar,
         "theta_curr": theta_curr,
         "block_success_prob": pz,
-        "pcl_mean": np.full_like(pz, pcl_mean),
         "cdf_curr": cdf_curr,
         "cdf_pcl": cdf_pcl,
         "cost": cost,
@@ -219,7 +220,9 @@ def optimize_block(
     """Exhaustive grid scan at block k with a deterministic tie-break.
 
     ``state`` covers blocks 1..k-1 (None for k=1) and must have been built
-    for ``shape.T``, ``config.virtual_block`` and ``config.eta_pcl``.
+    for ``shape.T``, ``config.virtual_block`` and ``config.eta_pcl``.  Its
+    ``pcl_context`` is read once: the cdf is the scan's one history input,
+    the mean goes straight into the record, as do the winner's peak metrics.
 
     Candidates within 1e-12 of the maximum cost are ties; among them the
     smallest delta_B, then the largest delta_S, then the smallest delta_C
@@ -245,9 +248,12 @@ def optimize_block(
     vals = config.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
+    cdf_pcl_cond, pcl_mean = state.pcl_context()
 
     def scan(part):
-        return _evaluate_grid(P_O_prev, state, params, shape, config, dB[part], dS[part], dC[part])
+        return _evaluate_grid(
+            P_O_prev, cdf_pcl_cond, params, shape, config, dB[part], dS[part], dC[part]
+        )
 
     step = _SCAN_SLICE if config.cdf_mode == "indicator" else dB.size
     cost = np.empty(dB.size)
@@ -263,7 +269,7 @@ def optimize_block(
     p_scalar = float(fields["p_scalar"][best - lo])
     theta = state.peak_metrics(p_scalar) if p_scalar > 0.0 else (math.nan, math.nan)
     record = MetricsRecord(
-        k, *policy.as_tuple(), theta_pl=theta[0], theta_pa=theta[1],
+        k, *policy.as_tuple(), pcl_mean=pcl_mean, theta_pl=theta[0], theta_pa=theta[1],
         **{name: float(arr[best - lo]) for name, arr in fields.items()},
     )
     return policy, record

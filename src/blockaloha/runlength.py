@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_T = 24
+# the magnitude sum of chi's terms above which 2^-52 of it exceeds 1e-12
+_CHI_MAX_MAGNITUDE = 1e-12 * 2.0**52
 
 
 @dataclass(frozen=True)
@@ -56,19 +58,30 @@ def chi(shape: BlockShape, x):
     """Probability that T i.i.d. Bernoulli(x) slots contain a run of >= v ones.
 
     Accepts a scalar or ndarray ``x``; returns the same shape.  The
-    alternating inclusion-exclusion sum can undershoot 0 (or overshoot 1) by
-    a few ulps, so the result is clamped to [0, 1].
+    alternating inclusion-exclusion sum carries the sum of its terms'
+    magnitudes beside it, and 2^-52 times that sum estimates its rounding
+    error: points where the estimate exceeds 1e-12 (none for T <= 20) are
+    evaluated by ``run_probability`` instead.  The sum can still undershoot
+    0 (or overshoot 1) by a few ulps, so the result is clamped to [0, 1].
     """
     arr = _check_prob(x)
     T, v = shape.T, shape.v
     total = np.zeros_like(arr)
+    magnitude = np.zeros_like(arr)
     one_minus = 1.0 - arr
     for l in range(1, (T + 1) // (v + 1) + 1):
         # binomials computed in exact integer arithmetic, one float conversion
         coeff = float(math.comb(T - l * v, l - 1))
         boundary = arr + ((T - l * v + 1) / l) * one_minus
         term = coeff * boundary * arr ** (l * v) * one_minus ** (l - 1)
-        total += term if l % 2 == 1 else -term
+        if l % 2 == 1:
+            total += term
+        else:
+            total -= term
+        magnitude += term
+    if magnitude.max(initial=0.0) > _CHI_MAX_MAGNITUDE:
+        lossy = magnitude > _CHI_MAX_MAGNITUDE
+        total[lossy] = run_probability(np.broadcast_to(arr[lossy][:, None], (lossy.sum(), T)), v)
     out = np.clip(total, 0.0, 1.0)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 

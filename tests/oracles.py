@@ -526,7 +526,8 @@ def optimize_block_reference(k, P_O_prev, state, params, shape, config):
     vals = config.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
-    fields = _evaluate_grid(P_O_prev, state, params, shape, config, dB, dS, dC)
+    cdf_pcl_cond, pcl_mean = state.pcl_context()
+    fields = _evaluate_grid(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC)
     cost = fields["cost"]
     ties = np.flatnonzero(cost >= cost.max() - 1e-12)
     best = int(ties[np.lexsort((dC[ties], -dS[ties], dB[ties]))[0]])
@@ -534,6 +535,6 @@ def optimize_block_reference(k, P_O_prev, state, params, shape, config):
     p_scalar = float(fields["p_scalar"][best])
     theta = state.peak_metrics(p_scalar) if p_scalar > 0.0 else (math.nan, math.nan)
     return policy, MetricsRecord(
-        k, *policy.as_tuple(), theta_pl=theta[0], theta_pa=theta[1],
+        k, *policy.as_tuple(), pcl_mean=pcl_mean, theta_pl=theta[0], theta_pa=theta[1],
         **{name: float(arr[best]) for name, arr in fields.items()},
     )

@@ -146,13 +146,15 @@ def test_vectorized_matches_scalar_on_random_candidates():
     hist = BlockHistory(SHAPE.T, (0.9, 0.85), (0.5, 0.6), (0.4, 0.45))
     P_prev = 0.55
     dB, dS, dC = rng.random(100), rng.random(100), rng.random(100)
-    fields = _evaluate_grid(P_prev, state_of(hist, cfg), PARAMS, SHAPE, cfg, dB, dS, dC)
+    cdf_pcl_cond, pcl_mean = state_of(hist, cfg).pcl_context()
+    fields = _evaluate_grid(P_prev, cdf_pcl_cond, PARAMS, SHAPE, cfg, dB, dS, dC)
+    assert "pcl_mean" not in fields
     for i in rng.choice(100, size=25, replace=False):
         rec = evaluate_candidate(
             3, AccessPolicy(dB[i], dS[i], dC[i]), P_prev, hist, PARAMS, SHAPE, cfg
         )
         for name in trace_fields:
-            got = float(fields[name][i])
+            got = pcl_mean if name == "pcl_mean" else float(fields[name][i])
             want = getattr(rec, name)
             if math.isnan(want):
                 assert math.isnan(got)
@@ -214,9 +216,8 @@ def test_grid_rank_mode_runs_and_orders():
 
     vals = cfg.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
-    empty = HistoryState.start(SHAPE.T, cfg.virtual_block, cfg.eta_pcl)
-    fields = _evaluate_grid(0.0, empty, PARAMS, SHAPE, cfg,
-                            B.ravel(), S.ravel(), C.ravel())
+    # an empty history's pcl_context()[0] is 1 at eta_pcl = 3
+    fields = _evaluate_grid(0.0, 1.0, PARAMS, SHAPE, cfg, B.ravel(), S.ravel(), C.ravel())
     theta = fields["theta_curr"]
     score = np.where(fields["block_success_prob"] > 0,
                      fields["cdf_curr"] / np.where(fields["block_success_prob"] > 0,
@@ -236,9 +237,8 @@ def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape)
     vals = cfg.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
-    empty = HistoryState.start(shape.T, cfg.virtual_block, cfg.eta_pcl)
     for P_prev in (0.0, 0.55, 1.0):
-        fields = _evaluate_grid(P_prev, empty, params, shape, cfg, dB, dS, dC)
+        fields = _evaluate_grid(P_prev, 1.0, params, shape, cfg, dB, dS, dC)
         for i in range(dB.size):
             one = block_recursion(P_prev, params, shape, dB[i : i + 1], dS[i : i + 1],
                                   dC[i : i + 1])
@@ -280,6 +280,24 @@ def test_block_recursion_calls_chi_once_per_block(monkeypatch):
             assert len(calls) - len(sliced) <= 1
             lone += len(calls) - len(sliced)
     assert lone > 0  # the one-candidate evaluation was exercised
+
+
+def test_optimize_block_reads_pcl_context_once_per_block(monkeypatch):
+    # the history enters the scan as one scalar: at grid step 0.05 the scan
+    # walks five slices, and all of them share one pcl_context read
+    import blockaloha.optimizer as optimizer
+
+    real_context, calls = HistoryState.pcl_context, []
+
+    def counting_context(state):
+        calls.append(len(state))
+        return real_context(state)
+
+    monkeypatch.setattr(HistoryState, "pcl_context", counting_context)
+    cfg = config(K=3, grid_step=0.05)
+    assert cfg.grid_values.size ** 3 > 4 * optimizer._SCAN_SLICE
+    run_horizon(PARAMS, SHAPE, cfg)
+    assert calls == [0, 1, 2]
 
 
 @pytest.mark.parametrize(
@@ -362,8 +380,7 @@ def test_current_block_latency_is_exactly_zero_at_T1():
     cfg = config(grid_step=0.05)
     vals = cfg.grid_values
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
-    state = HistoryState.start(shape.T, cfg.virtual_block, cfg.eta_pcl)
     for P_prev in (0.0, 0.4):
-        theta = _evaluate_grid(P_prev, state, PARAMS, shape, cfg,
+        theta = _evaluate_grid(P_prev, 1.0, PARAMS, shape, cfg,
                                B.ravel(), S.ravel(), C.ravel())["theta_curr"]
         assert (theta[~np.isnan(theta)] >= 0.0).all()

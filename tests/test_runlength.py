@@ -103,6 +103,32 @@ def test_chi_clamped_to_unit_interval():
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
+@pytest.mark.parametrize("T, v", [(200, 2), (500, 5), (1000, 5)])
+def test_chi_matches_the_run_length_chain_at_large_T(T, v):
+    # the alternating sum alone is off by up to 1.3e-7, 1.6e-6 and 1.0 here
+    xs = np.linspace(0.01, 0.99, 50)
+    want = run_probability(np.broadcast_to(xs[:, None], (xs.size, T)), v)
+    np.testing.assert_allclose(chi(BlockShape(T, v), xs), want, rtol=0.0, atol=1e-12)
+
+
+def test_chi_is_a_monotone_probability_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(T=st.integers(1, 1000), data=st.data())
+    def holds(T, data):
+        # short runs in long blocks are where the alternating sum cancels
+        v = data.draw(st.one_of(st.integers(1, min(T, 8)), st.integers(1, T)), label="v")
+        lo = data.draw(st.floats(0.0, 1.0), label="lo")
+        hi = data.draw(st.floats(lo, 1.0), label="hi")
+        vals = chi(BlockShape(T, v), np.linspace(lo, hi, 64))
+        assert ((vals >= 0.0) & (vals <= 1.0)).all()
+        assert (np.diff(vals) >= -1e-12).all()
+
+    holds()
+
+
 @pytest.mark.parametrize("T", range(1, 9))
 def test_run_probability_matches_enumeration(T):
     # unequal slot probabilities: weight every bit string by its own product
