@@ -300,16 +300,19 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int):
     rows.append(_exact_row("pcl_pmf_normalization_maxdev", 0.0, worst, 1e-9))
 
     # -- Bernoulli tier -------------------------------------------------
-    # peak latency and age of the final block, from the driver's running sums
+    # peak latency and age of the final block, from the driver's running sums,
+    # with block 0 under the configured convention
     episodes = max(1, int(200_000 * scale))
+    virtual_block = cfg.optimizer.virtual_block
     sh = BlockShape(5, 3)
     for i, (label, p_seq) in enumerate(
         (("const_p0.5", (0.5, 0.5, 0.5)), ("varying", (0.9, 0.1, 0.8)))
     ):
-        rep = simulate_bernoulli(p_seq, sh, episodes, seed + 1 + i, workers=workers)
+        rep = simulate_bernoulli(p_seq, sh, episodes, seed + 1 + i, virtual_block=virtual_block,
+                                 workers=workers)
         if i == 0:
             rows.append(_stat_row("bern_run_freq_vs_chi", chi(sh, 0.5), rep["run_freq_b3"]))
-        state = HistoryState.fold(sh.T, "extend", 0.0, p_seq[:-1], (0, 0), (0, 0))
+        state = HistoryState.fold(sh.T, virtual_block, 0.0, p_seq[:-1], (0, 0), (0, 0))
         peak_latency, paoi = state.peak_metrics(p_seq[-1])
         rows.append(_stat_row(f"bern_peak_latency_{label}", peak_latency, rep["peak_latency"]))
         rows.append(_stat_row(f"bern_paoi_{label}", paoi, rep["paoi"]))

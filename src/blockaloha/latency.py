@@ -214,6 +214,11 @@ class HistoryState:
         return below / self.pcl_total, self.pcl_tau_sum / self.pcl_total
 
 
+# T p below which ``_ex_term`` sums its series: the first term it drops is
+# below 1e-13 of the value there
+_EX_SERIES_MAX_TP = 1e-2
+
+
 def _ex_term(p, T: int) -> np.ndarray:
     """Elementwise q/p - T q^T / (1 - q^T) with q = 1 - p; 0 where p is 0.
 
@@ -223,13 +228,24 @@ def _ex_term(p, T: int) -> np.ndarray:
     so its term carries zero weight; it is evaluated at p = 1, where the
     expression is exactly 0.  At T = 1 it is exactly 0 for every p, and
     is returned as such: the two terms cancel only to rounding (1e-15).
+    Below T p = ``_EX_SERIES_MAX_TP`` the two terms cancel to rounding noise
+    of order 2^-53 / p^2, so there it is the series (T-1)/2 - (T^2-1)
+    p/12 (1 + p/2 - (T^2-19) p^2/60 - (T^2-9) p^3/40) + O(T^6 p^5).
     """
     if T == 1:
         return np.zeros_like(np.asarray(p, dtype=float))
-    safe = np.where(np.asarray(p, dtype=float) > 0.0, p, 1.0)
+    p = np.asarray(p, dtype=float)
+    closed = p >= _EX_SERIES_MAX_TP / T
+    safe = np.where(closed, p, 1.0)
     q = 1.0 - safe
     qT = q**T
-    return q / safe - T * qT / (1.0 - qT)
+    out = np.asarray(q / safe - T * qT / (1.0 - qT))
+    if not closed.all():
+        series = ~closed & (p > 0.0)
+        x, t2 = p[series], float(T * T)
+        poly = 1.0 + x / 2.0 - (t2 - 19.0) * x**2 / 60.0 - (t2 - 9.0) * x**3 / 40.0
+        out[series] = (T - 1) / 2.0 - (t2 - 1.0) * x / 12.0 * poly
+    return out
 
 
 def _final_block_peaks(hist: BlockHistory, virtual_block: str) -> tuple[float, float]:

@@ -230,8 +230,8 @@ def simulate_bernoulli(
     A batch draws blocks 1..k episode-major, then block 0.  It walks chunks
     of whole episodes of about ``_FADING_CHUNK`` slots, reading block 0 from
     a view of the stream skipped past blocks 1..k, so its memory does not
-    grow with k; ``_block_stats`` reduces each block, and the statistics
-    are integer sums, exact in any grouping.
+    grow with k; one ``_block_stats`` call reduces blocks 0..k, block j as
+    row j, and the statistics are integer sums, exact in any grouping.
     """
     p = _check_prob(p_seq, "p_seq")
     if p.ndim != 1 or p.size == 0:
@@ -241,30 +241,30 @@ def simulate_bernoulli(
     k, T, v = p.size, shape.T, shape.v
 
     def chunk(rng, block0_rng, n):
-        ones, first, last, longest = _block_stats(rng.random((n, k, T)) < p[None, :, None])
+        bits = np.empty((k + 1, n, T), dtype=bool)
+        np.less(rng.random((n, k, T)), p[None, :, None], out=bits[1:].transpose(1, 0, 2))
         if virtual_block == "extend":
-            ones0, _, last0, _ = _block_stats(block0_rng.random((n, T)) < p[0])
+            np.less(block0_rng.random((n, T)), p[0], out=bits[0])
         else:  # a success on block 0's last slot
-            ones0, last0 = np.ones(n, dtype=np.int64), np.full(n, T - 1)
-        zk = ones[:, k - 1] > 0
-        X = first[:, k - 1]
+            bits[0] = np.arange(T) == T - 1
+        ones, first, last, longest = _block_stats(bits)
+        zk = ones[k] > 0
         # gap to the last successful block j of blocks 0..k-1 and its trailing failure run
         kappa = np.zeros(n, dtype=np.int64)
         w_prev = np.zeros(n, dtype=np.int64)
         for j in range(k):
-            ones_j, last_j = (ones0, last0) if j == 0 else (ones[:, j - 1], last[:, j - 1])
-            hit = ones_j > 0
+            hit = ones[j] > 0
             np.copyto(kappa, k - j, where=hit)
-            np.copyto(w_prev, T - 1 - last_j, where=hit)
+            np.copyto(w_prev, T - 1 - last[j], where=hit)
 
-        L = T * (kappa - 1) + w_prev + X + 1
-        D = kappa * T + X + 1
+        L = T * (kappa - 1) + w_prev + first[k] + 1
+        D = kappa * T + first[k] + 1
         Lz = L[zk].astype(float)
         Dz = D[zk].astype(float)
         return {
-            "slot_cnt": ones.sum(axis=0).astype(float),
-            "z_cnt": (ones > 0).sum(axis=0).astype(float),
-            "run_cnt": (longest >= v).sum(axis=0).astype(float),
+            "slot_cnt": ones[1:].sum(axis=1).astype(float),
+            "z_cnt": (ones[1:] > 0).sum(axis=1).astype(float),
+            "run_cnt": (longest[1:] >= v).sum(axis=1).astype(float),
             "n": float(n),
             "n_zk": float(zk.sum()),
             "L": _moments(Lz),

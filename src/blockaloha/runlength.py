@@ -27,6 +27,8 @@ __all__ = [
 _BRUTE_FORCE_MAX_T = 24
 # the magnitude sum of chi's terms above which 2^-52 of it exceeds 1e-12
 _CHI_MAX_MAGNITUDE = 1e-12 * 2.0**52
+# the exact bound on that sum above which a term or the sum could overflow a float
+_CHI_MAX_BOUND = 2**1023
 
 
 @dataclass(frozen=True)
@@ -61,24 +63,31 @@ def chi(shape: BlockShape, x):
     alternating inclusion-exclusion sum carries the sum of its terms'
     magnitudes beside it, and 2^-52 times that sum estimates its rounding
     error: points where the estimate exceeds 1e-12 (none for T <= 20) are
-    evaluated by ``run_probability`` instead.  The sum can still undershoot
-    0 (or overshoot 1) by a few ulps, so the result is clamped to [0, 1].
+    evaluated by ``run_probability`` instead, and so is every point when the
+    binomials are too large for the terms to fit a float (from T = 1,461 at
+    v = 1).  The sum can still undershoot 0 (or overshoot 1) by a few ulps,
+    so the result is clamped to [0, 1].
     """
     arr = _check_prob(x)
     T, v = shape.T, shape.v
     total = np.zeros_like(arr)
     magnitude = np.zeros_like(arr)
     one_minus = 1.0 - arr
-    for l in range(1, (T + 1) // (v + 1) + 1):
-        # binomials computed in exact integer arithmetic, one float conversion
-        coeff = float(math.comb(T - l * v, l - 1))
-        boundary = arr + ((T - l * v + 1) / l) * one_minus
-        term = coeff * boundary * arr ** (l * v) * one_minus ** (l - 1)
-        if l % 2 == 1:
-            total += term
-        else:
-            total -= term
-        magnitude += term
+    runs = range(1, (T + 1) // (v + 1) + 1)
+    # binomials computed in exact integer arithmetic, one float conversion;
+    # term l is at most comb(T - l v, l - 1) max(l, T - l v + 1)
+    coeffs = [math.comb(T - l * v, l - 1) for l in runs]
+    if sum(c * max(l, T - l * v + 1) for l, c in zip(runs, coeffs)) > _CHI_MAX_BOUND:
+        magnitude[...] = math.inf  # every point is lossy
+    else:
+        for l, coeff in zip(runs, coeffs):
+            boundary = arr + ((T - l * v + 1) / l) * one_minus
+            term = float(coeff) * boundary * arr ** (l * v) * one_minus ** (l - 1)
+            if l % 2 == 1:
+                total += term
+            else:
+                total -= term
+            magnitude += term
     if magnitude.max(initial=0.0) > _CHI_MAX_MAGNITUDE:
         lossy = magnitude > _CHI_MAX_MAGNITUDE
         total[lossy] = run_probability(np.broadcast_to(arr[lossy][:, None], (lossy.sum(), T)), v)

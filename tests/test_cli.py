@@ -92,6 +92,16 @@ def test_overflowing_noise_exponent_gives_zero_success(tmp_path):
         assert {float(x) for row in rows for x in row[first : last + 1]} == {0.0}
 
 
+def test_optimize_at_a_block_too_long_for_chi_binomials(tmp_path):
+    # comb(1999, l - 1) overflows a float at T=2000, v=1: chi's chain route
+    # gives a probability, not an OverflowError
+    assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "T=2000", "--set", "v=1",
+                   "--set", "K=1") == 0
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    row = [l.split(",") for l in lines if not l.startswith("#")][1]
+    assert 0.0 <= float(row[5]) <= 1.0  # pi
+
+
 def test_parse_config_rejects_garbage(tmp_path):
     path = tmp_path / "g.cfg"
     path.write_text("just some words\n")
@@ -313,6 +323,33 @@ def test_validate_reads_latency_references_from_history_state(monkeypatch):
         assert rows[f"bern_paoi_{label}"] == pytest.approx(array_paoi(hist), rel=1e-12)
     hist = BlockHistory(5, (0.5,) * 12, (0.35,) * 12, (0.35,) * 12)
     assert rows["renewal_pcl_mean_const"] == pytest.approx(expected_pcl(hist), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["extend", "boundary"])
+def test_validate_bernoulli_rows_follow_virtual_block(monkeypatch, mode):
+    # the configured block-0 convention reaches both the simulation and the
+    # analytic fold of the latency rows; the spatial companion keeps its default
+    import blockaloha.cli
+    from blockaloha import BlockHistory
+    from blockaloha.cli import _validation_rows
+    from oracles import array_paoi, array_peak_latency
+
+    modes = []
+    simulate = blockaloha.cli.simulate_bernoulli
+
+    def record(*args, virtual_block="extend", **kwargs):
+        modes.append(virtual_block)
+        return simulate(*args, virtual_block=virtual_block, **kwargs)
+
+    monkeypatch.setattr(blockaloha.cli, "simulate_bernoulli", record)
+    cfg = load_run_config(overrides={"virtual_block": mode})
+    rows = {r.name: r.analytic for r in _validation_rows(cfg, 1e-3, 1)}
+    assert modes == [mode, mode, "extend"]
+    for label, p in (("const_p0.5", (0.5, 0.5, 0.5)), ("varying", (0.9, 0.1, 0.8))):
+        hist = BlockHistory(5, p, (0,) * 3, (0,) * 3)
+        assert rows[f"bern_peak_latency_{label}"] == pytest.approx(
+            array_peak_latency(hist, mode), rel=1e-12)
+        assert rows[f"bern_paoi_{label}"] == pytest.approx(array_paoi(hist, mode), rel=1e-12)
 
 
 def test_validate_spatial_rows_use_their_fading_paths(monkeypatch):

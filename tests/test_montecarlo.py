@@ -566,6 +566,24 @@ def test_block_stats_without_successes(T):
         assert stat.shape == (3, 2) and (stat == empty).all()
 
 
+@pytest.mark.parametrize("mode", ["extend", "boundary"])
+def test_bernoulli_chunk_reduces_blocks_0_to_k_in_one_block_stats_call(monkeypatch, mode):
+    # the virtual block is row 0 of one block-major (k+1, n, T) array
+    import blockaloha.montecarlo
+
+    shapes = []
+
+    def record(bits):
+        shapes.append(bits.shape)
+        return _block_stats(bits)
+
+    monkeypatch.setattr(blockaloha.montecarlo, "_block_stats", record)
+    # 300 episodes of 3 x 5 slots are one chunk
+    rep = simulate_bernoulli((0.3, 0.55, 0.2), BlockShape(5, 2), 300, 41, virtual_block=mode)
+    assert shapes == [(4, 300, 5)]
+    assert rep["slot_rate_b1"].n == 1500
+
+
 @pytest.mark.parametrize("case", PINS["bernoulli"],
                          ids=lambda c: f"T{c['T']}-v{c['v']}-{c['virtual_block']}")
 def test_bernoulli_multibyte_blocks_match_pinned_values(case):

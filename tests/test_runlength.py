@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ def test_chi_matches_the_run_length_chain_at_large_T(T, v):
     np.testing.assert_allclose(chi(BlockShape(T, v), xs), want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("T", [1480, 2000])
+def test_chi_routes_binomials_past_float_range_to_the_chain(T):
+    # comb(T - l, l - 1) overflows a float from T = 1,484 at v = 1, and a
+    # term overflows just below; neither may surface as an error or warning
+    xs = np.linspace(0.0, 1.0, 41)
+    want = run_probability(np.broadcast_to(xs[:, None], (xs.size, T)), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = chi(BlockShape(T, 1), xs)
+        scalar = chi(BlockShape(T, 1), 0.3)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert abs(scalar - float(run_probability(np.full(T, 0.3), 1))) <= 1e-12
+
+
 def test_chi_is_a_monotone_probability_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -202,3 +217,41 @@ def test_ex_term_matches_truncated_geometric_mean(T):
     # a block that never succeeds carries zero weight
     assert float(_ex_term(0.0, T)) == 0.0
     assert list(_ex_term(np.array([0.0, 0.5, 0.0]), T)[[0, 2]]) == [0.0, 0.0]
+
+
+def _ex_term_mpmath(p: float, T: int) -> float:
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        q = 1 - mpmath.mpf(p)
+        return float(q / mpmath.mpf(p) - T * q**T / (1 - q**T))
+
+
+@pytest.mark.parametrize("T", [2, 3, 5, 10, 20, 100, 1000])
+def test_ex_term_matches_mpmath_down_to_tiny_p(T):
+    # below T p = 1e-2 the series holds 1e-12; above it the closed form
+    # carries the rounding of q = 1 - p, about 2^-54 / p^2 against (T-1)/2
+    ps = np.logspace(-15, 0, 151)
+    threshold = 1e-2 / T
+    ps = np.append(ps, [np.nextafter(threshold, 0.0), threshold])
+    for p, got in zip(ps, _ex_term(ps, T)):
+        want = _ex_term_mpmath(p, T)
+        tol = 1e-12 if p < threshold else 1e-12 + 2.0**-52 / (T * p * p)
+        assert abs(got - want) <= tol * want, (p, got, want)
+    assert float(_ex_term(1e-9, 5)) == pytest.approx(1.999999998, rel=1e-12)
+
+
+def test_ex_term_lies_between_zero_and_half_the_block_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        T=st.integers(1, 1000),
+        ps=st.lists(st.one_of(st.just(0.0), st.floats(1e-15, 1.0)), min_size=1, max_size=8),
+    )
+    def holds(T, ps):
+        # the array path and the scalar path the peak formulas take
+        vals = np.append(_ex_term(np.array(ps), T), [_ex_term(p, T) for p in ps])
+        assert ((vals >= 0.0) & (vals <= (T - 1) / 2)).all(), vals
+
+    holds()
