@@ -103,14 +103,16 @@ def _push_gap(gap, p: float, T: int):
 
     Every older gap weight picks up the new block's q^T and its gap kappa
     grows by one; the new block enters with weight 1 - q^T at kappa = 1.
-    The suffix products follow suffix' = q^T (suffix + 1).
+    The suffix products follow suffix' = q^T (suffix + 1), summed over the
+    blocks that can succeed: a block with q^T = 1 has no trailing run.
     """
     w, wk, wr, s2 = gap
     q = 1.0 - p
     qT = q**T
     fresh = 1.0 - qT
-    trailing = q / p if fresh > 0.0 else 0.0  # fresh > 0 implies p > 0
-    return (qT * w + fresh, qT * (wk + w) + fresh, qT * wr + fresh * trailing, qT * (s2 + 1.0))
+    if fresh > 0.0:  # implies p > 0
+        wr, s2 = qT * wr + fresh * (q / p), qT * (s2 + 1.0)
+    return (qT * w + fresh, qT * (wk + w) + fresh, wr, s2)
 
 
 @dataclass(frozen=True)

@@ -292,30 +292,6 @@ def simulate_bernoulli(
     return report
 
 
-def _faded_sums(rng, path_loss: np.ndarray, counts: np.ndarray, out: np.ndarray):
-    """Per-cell sums of path loss times fresh unit-mean exponential fading.
-
-    The fading is drawn chunk by chunk, which consumes the stream exactly
-    as one ``rng.exponential(size=path_loss.size)`` call; the products go
-    to ``out`` (may be ``path_loss``) and cell c sums the next counts[c].
-    """
-    fading = np.empty(min(_FADING_CHUNK, path_loss.size))
-    for lo in range(0, path_loss.size, _FADING_CHUNK):
-        chunk = fading[: path_loss.size - lo]
-        rng.standard_exponential(out=chunk)
-        np.multiply(path_loss[lo : lo + chunk.size], chunk, out=out[lo : lo + chunk.size])
-    return _cell_sums(out, counts)
-
-
-def _cell_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Cell c's sum of the next counts[c] entries of ``values`` (0 if empty)."""
-    sums = np.zeros(counts.size)
-    if values.size:
-        nonempty = counts > 0
-        sums[nonempty] = np.add.reduceat(values, (np.cumsum(counts) - counts)[nonempty])
-    return sums
-
-
 def _skipped(rng, m: int) -> np.random.Generator:
     """A copy of the Philox generator ``rng`` that starts m raw outputs on.
 
@@ -332,13 +308,26 @@ def _skipped(rng, m: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _cell_groups(counts: np.ndarray):
-    """(first cell, end cell, first interferer, interferers) of each group of
-    the cells whose first interferer falls in one ``_FADING_CHUNK``."""
+def _group_sums(counts: np.ndarray, fill) -> np.ndarray:
+    """Cell c's sum of the next counts[c] per-interferer values (0 if empty).
+
+    The cells are walked in groups, those whose first interferer falls in
+    one ``_FADING_CHUNK``; ``fill(lo, out)`` returns the values of the
+    group that starts at interferer lo, one per entry of ``out``, a view of
+    one buffer that every group reuses.  So the memory is O(_FADING_CHUNK +
+    largest cell), and ``fill`` reads its streams in interferer order.
+    """
     offsets = np.r_[0, np.cumsum(counts)]
     edges = np.r_[0, np.flatnonzero(np.diff(offsets[:-1] // _FADING_CHUNK)) + 1, counts.size]
     starts = offsets[edges]
-    return list(zip(edges[:-1], edges[1:], starts[:-1], np.diff(starts)))
+    buffer = np.empty(np.diff(starts).max())
+    sums = np.zeros(counts.size)
+    for a, b, lo, hi in zip(edges[:-1], edges[1:], starts[:-1], starts[1:]):
+        if hi > lo:  # an empty group draws nothing
+            values = fill(lo, buffer[: hi - lo])
+            nonempty = counts[a:b] > 0
+            sums[a:b][nonempty] = np.add.reduceat(values, offsets[a:b][nonempty] - lo)
+    return sums
 
 
 def _interferer_gains(x: np.ndarray, disk_radius: float, params: NetworkParams) -> np.ndarray:
@@ -360,22 +349,6 @@ def _interferer_gains(x: np.ndarray, disk_radius: float, params: NetworkParams) 
     return x
 
 
-def _slot_sums(rng, counts, disk_radius, params, reduce) -> np.ndarray:
-    """reduce(gains, counts) of the slots with the given interferer counts:
-    their uniforms are drawn group by group (``_cell_groups``) into one
-    buffer and become gains in place (``_interferer_gains``), so the memory
-    is O(_FADING_CHUNK + largest cell) and the stream is read as by one
-    ``rng.random(counts.sum())`` call."""
-    groups = _cell_groups(counts)
-    buffer = np.empty(max(size for *_, size in groups))
-    sums = np.empty(counts.size)
-    for a, b, _, size in groups:
-        u = buffer[:size]
-        rng.random(out=u)
-        sums[a:b] = reduce(_interferer_gains(u, disk_radius, params), counts[a:b])
-    return sums
-
-
 def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry, outer):
     """Slot successes and interference, both of shape (n, T), of one batch.
 
@@ -385,30 +358,33 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry, outer):
     interferers' faded gains g (r0/r)^a (``_interferer_gains``), which is
     the interference returned, in units of the signal's xi r0^-a / g: so
     with probability exp(-outer - interference) given the disk's field.
-    ``per-slot`` uses each uniform once (``_slot_sums``) and reads the
-    fading from a view of the same stream skipped past them.  ``per-episode``
-    reuses each gain T times, so it keeps them all, and walks them in the
-    same groups through one buffer.
+    Each cell sums its interferers through ``_group_sums``.  ``per-slot``
+    uses each uniform once and reads the fading from a view of the same
+    stream skipped past them.  ``per-episode`` reuses each gain T times, so
+    it keeps them all, and draws their fading from the stream once per slot.
     """
     if geometry == "per-slot":
         counts = rng.poisson(mean_pts, size=n * T)
         fading_rng = _skipped(rng, int(counts.sum()))
-        interference = _slot_sums(
-            rng, counts, disk_radius, params, lambda g, c: _faded_sums(fading_rng, g, c, g)
-        ).reshape(n, T)
+
+        def fill(lo, out):
+            gains = _interferer_gains(rng.random(out=out), disk_radius, params)
+            return np.multiply(gains, fading_rng.standard_exponential(out.size), out=out)
+
+        interference = _group_sums(counts, fill).reshape(n, T)
         signal = fading_rng.exponential(size=n * T).reshape(n, T)
     else:
         counts = rng.poisson(mean_pts, size=n)
-        groups = _cell_groups(counts)
-        buffer = np.empty(max(size for *_, size in groups))
         gains = _interferer_gains(rng.random(int(counts.sum())), disk_radius, params)
+
+        def fill(lo, out):
+            rng.standard_exponential(out=out)
+            return np.multiply(gains[lo : lo + out.size], out, out=out)
+
         interference = np.empty((n, T))
         signal = np.empty((n, T))
         for t in range(T):
-            for a, b, lo, size in groups:
-                interference[a:b, t] = _faded_sums(
-                    rng, gains[lo : lo + size], counts[a:b], buffer[:size]
-                )
+            interference[:, t] = _group_sums(counts, fill)
             signal[:, t] = rng.exponential(size=n)
     return signal > outer + interference, interference
 
@@ -424,8 +400,11 @@ def _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer):
     log1p(g (r0/r)^a)), ``outer`` holding the noise and outside-disk exponents.
     """
     counts = rng.poisson(mean_pts, size=n * T)
-    exponent = _slot_sums(rng, counts, disk_radius, params,
-                          lambda g, c: _cell_sums(np.log1p(g, out=g), c))
+
+    def fill(lo, out):
+        return np.log1p(_interferer_gains(rng.random(out=out), disk_radius, params), out=out)
+
+    exponent = _group_sums(counts, fill)
     return np.exp(-(exponent + outer)).reshape(n, T)
 
 

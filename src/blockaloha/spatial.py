@@ -208,16 +208,18 @@ def slot_success_prob(
     return math.exp(-noise_exponent(params) - interf)
 
 
-def default_disk_radius(lambda_eff: float, bias_target: float = 0.01) -> float:
-    """Simulation disk radius keeping the expected point count near 100/bias_target.
+def default_disk_radius(lambda_eff: float) -> float:
+    """Simulation disk radius holding about 10,000 expected interferers, at most 5000 m.
 
     The spatial tier adds the field beyond the disk exactly, so the radius
-    sets its cost, not a bias; the 5000 m cap binds at the default
-    bias_target for lambda_eff up to 4e-4/pi (about 1.27e-4; 4948 m at 1.3e-4).
+    sets only its cost.  The cap binds for lambda_eff up to 4e-4/pi (about
+    1.27e-4): at 1e-4 a slot expects 7,854 interferers, about 280 times the
+    28 on ``validate``'s 300 m disk.  Callers who care about cost pass
+    ``disk_radius``.
     """
     if lambda_eff <= 0.0:
         return 5000.0
-    return min(5000.0, 10.0 / math.sqrt(math.pi * lambda_eff * bias_target))
+    return min(5000.0, 10.0 / math.sqrt(math.pi * lambda_eff * 0.01))
 
 
 def parse_power_watts(text: str | float) -> float:

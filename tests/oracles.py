@@ -183,7 +183,8 @@ def array_peak_latency(hist, virtual_block="extend") -> float:
     # q_m / p_m only matters where the gap weight is nonzero (p_m > 0 there)
     trailing = np.where(w > 0.0, q[:k] / np.where(p[:k] > 0.0, p[:k], 1.0), 0.0)
     s1 = float(np.sum(w * (trailing + T * kappa)))
-    s2 = float(np.sum(_suffix_products(qT, k)[:k]))
+    # only blocks that can succeed (q_m^T < 1) have a trailing failure run
+    s2 = float(np.sum(_suffix_products(qT, k)[:k][qT[:k] < 1.0]))
     return s1 - T * s2 - T + x_term + 1.0
 
 

@@ -94,6 +94,32 @@ def test_state_degenerate_pcl_and_zero_current_p(mode):
         expected_peak_latency(hist.extended(0.0, 0.0, 0.0), mode)
 
 
+def test_peak_metrics_bounds_property():
+    # age exceeds latency in both conventions; under 'boundary' the gap
+    # weights are a distribution over kappa >= 1, so latency >= 1 and age
+    # >= T + 1.  'extend' scores a path with no earlier success kappa = 0,
+    # a sample latency of first + 1 - T, so its latency may fall below 1.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        T=st.integers(1, 30),
+        past=st.lists(entry, max_size=12),
+        p=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    def holds(T, past, p):
+        for mode in MODES:
+            state = HistoryState.fold(T, mode, 0.0, past, past, past)
+            pl, pa = state.peak_metrics(p)
+            assert pa >= pl, (mode, pl, pa)
+            if mode == "boundary":
+                assert pl >= 1.0 - 1e-9 and pa >= T + 1.0 - 1e-9, (pl, pa)
+
+    holds()
+
+
 def _reference_horizon(params, shape, cfg):
     """Best ``evaluate_candidate`` per block, threading a BlockHistory."""
     vals = cfg.grid_values

@@ -49,6 +49,10 @@ def hist_of(p_seq, T=5, p_tilde=None, chi_c=None):
         ((0.6, 0.1), 4),
         ((0.7, 0.2, 0.9, 0.4, 0.55), 2),
         ((0.35, 0.8, 0.15, 0.6, 0.25), 2),
+        # blocks that cannot succeed, before and in place of block 1
+        ((0.3, 0.0, 0.5), 3),
+        ((0.0, 0.0, 0.6), 3),
+        ((0.0, 0.5), 3),
     ],
 )
 def test_formulas_match_exact_enumeration(p_seq, T, mode):

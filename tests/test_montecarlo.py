@@ -76,7 +76,8 @@ def test_bernoulli_run_freq_matches_chi():
 
 
 @pytest.mark.parametrize("mode", ["extend", "boundary"])
-@pytest.mark.parametrize("p_seq", [(0.5, 0.5, 0.5), (0.9, 0.1, 0.8)])
+# (0.3, 0.0, 0.5): a block that cannot succeed carries no trailing failure run
+@pytest.mark.parametrize("p_seq", [(0.5, 0.5, 0.5), (0.9, 0.1, 0.8), (0.3, 0.0, 0.5)])
 def test_bernoulli_latency_age_match_formulas(p_seq, mode):
     shape = BlockShape(5, 2)
     h = hist_of(p_seq, shape.T)
@@ -600,6 +601,20 @@ def test_policy_chain_multibyte_blocks_match_pinned_values(case, workers):
     rep = simulate_policy_chain(BlockShape(case["T"], case["v"]), policies, case["rho_seq"],
                                 case["episodes"], case["seed"], workers=workers,
                                 batch_size=case["batch_size"])
+    assert rep == {key: Estimate(*est) for key, est in case["estimates"].items()}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", PINS["spatial"], ids=lambda c: "-".join(
+    (f"lam{c['params']['lam']:g}", f"a{c['params']['alpha']:g}", c["geometry"], c["fading"])))
+def test_spatial_samplers_match_pinned_values(case, workers):
+    # cells of more interferers than one fading chunk (lam=1e-2 on 1500 m)
+    # and batches with no interferer at all (lam=3e-7 on 100 m, batch 16)
+    rep = simulate_spatial(NetworkParams(**case["params"]), AccessPolicy(1.0, 0.0, 0.0),
+                           BlockShape(case["T"], case["v"]), case["episodes"], case["seed"],
+                           disk_radius=case["disk_radius"], geometry=case["geometry"],
+                           workers=workers, batch_size=case["batch_size"],
+                           fading=case["fading"])
     assert rep == {key: Estimate(*est) for key, est in case["estimates"].items()}
 
 

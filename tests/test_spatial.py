@@ -208,10 +208,12 @@ def test_slot_success_rejects_negative_density():
 
 
 def test_default_disk_radius():
+    # 10,000 expected interferers, capped at 5000 m (7,854 at lambda = 1e-4)
     assert default_disk_radius(1e-4) == 5000.0
     assert default_disk_radius(0.0) == 5000.0
-    r = default_disk_radius(1e-2)
-    assert r == pytest.approx(10.0 / math.sqrt(math.pi * 1e-2 * 0.01))
+    for lam in (1.3e-4, 1e-2):
+        assert default_disk_radius(lam) == 10.0 / math.sqrt(math.pi * lam * 0.01)
+        assert lam * math.pi * default_disk_radius(lam) ** 2 == pytest.approx(1e4, rel=1e-12)
 
 
 def test_parse_power_watts():
