@@ -227,26 +227,33 @@ def _ex_term(p, T: int) -> np.ndarray:
     For p > 0 this is the mean number of leading failure slots of a T-slot
     block given at least one success, and by symmetry the mean trailing
     failure run after its last success.  A block with p = 0 never succeeds,
-    so its term carries zero weight; it is evaluated at p = 1, where the
-    expression is exactly 0.  At T = 1 it is exactly 0 for every p, and
-    is returned as such: the two terms cancel only to rounding (1e-15).
-    Below T p = ``_EX_SERIES_MAX_TP`` the two terms cancel to rounding noise
-    of order 2^-53 / p^2, so there it is the series (T-1)/2 - (T^2-1)
-    p/12 (1 + p/2 - (T^2-19) p^2/60 - (T^2-9) p^3/40) + O(T^6 p^5).
+    so its term carries zero weight and is exactly 0.  At T = 1 it is
+    exactly 0 for every p, and is returned as such: the two terms cancel
+    only to rounding (1e-15).  Below T p = ``_EX_SERIES_MAX_TP`` the two
+    terms cancel to rounding noise of order 2^-53 / p^2, so there it is the
+    series (T-1)/2 - (T^2-1) p/12 (1 + p/2 - (T^2-19) p^2/60 - (T^2-9)
+    p^3/40) + O(T^6 p^5).
     """
-    if T == 1:
-        return np.zeros_like(np.asarray(p, dtype=float))
     p = np.asarray(p, dtype=float)
-    closed = p >= _EX_SERIES_MAX_TP / T
-    safe = np.where(closed, p, 1.0)
-    q = 1.0 - safe
+    q = 1.0 - p
     qT = q**T
-    out = np.asarray(q / safe - T * qT / (1.0 - qT))
+    return _ex_core(p, q, qT, 1.0 - qT, T)
+
+
+def _ex_core(p, q, qT, fresh, T: int) -> np.ndarray:
+    """``_ex_term`` of an ndarray ``p``, given q = 1 - p, qT = q^T and fresh = 1 - q^T."""
+    if T == 1:
+        return np.zeros_like(p)
+    closed = p >= _EX_SERIES_MAX_TP / T
+    # the discarded points below the switch may divide by 0 or overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.where(closed, q / p - T * qT / fresh, 0.0)
     if not closed.all():
         series = ~closed & (p > 0.0)
-        x, t2 = p[series], float(T * T)
-        poly = 1.0 + x / 2.0 - (t2 - 19.0) * x**2 / 60.0 - (t2 - 9.0) * x**3 / 40.0
-        out[series] = (T - 1) / 2.0 - (t2 - 1.0) * x / 12.0 * poly
+        if series.any():
+            x, t2 = p[series], float(T * T)
+            poly = 1.0 + x / 2.0 - (t2 - 19.0) * x**2 / 60.0 - (t2 - 9.0) * x**3 / 40.0
+            out[series] = (T - 1) / 2.0 - (t2 - 1.0) * x / 12.0 * poly
     return out
 
 

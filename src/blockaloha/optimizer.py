@@ -13,7 +13,9 @@ scalar, the gap distribution's conditional cdf at eta_pcl, read once per
 block.  It walks the grid in slices of 2,048 candidates, last slice first,
 and keeps only their costs, so its memory is O(slice) plus one cost array.
 Its controllability recursion, ``block_recursion``, is also what
-``validate`` evaluates its policy chain with.  The tests hold both to a
+``validate`` evaluates its policy chain with; the scan takes the slot array
+and its complement from it, raises q^T once, and calls the unchecked cores
+of ``chi`` and ``_ex_term``.  The tests hold both to a
 scalar reference of the same pipeline that computes the peak latency and
 age with array formulas of its own; ``BlockHistory`` is only the input
 record of the public convenience functions in ``latency``, not a second
@@ -27,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latency import VIRTUAL_BLOCK_MODES, HistoryState, _ex_term
+from .latency import VIRTUAL_BLOCK_MODES, HistoryState, _ex_core
 # Not used here: the traced benchmark run (benchmarks/run.py --trace 1) wraps
 # these names on this module.  Drop this line with the next benchmark change.
 from .latency import _pcl_weights, expected_paoi, expected_peak_latency  # noqa: F401
-from .runlength import BlockShape, chi
+from .runlength import BlockShape, _chi_core, chi
 from .spatial import AccessPolicy, NetworkParams, interference_integral, noise_exponent
 
 __all__ = [
@@ -144,40 +146,62 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
     success ``rho`` at the candidates' effective density, first-time
     ``pi = dB chi(rho) + (1 - dB) chi(dS rho)``, cumulative ``P_O``,
     instantaneous ``P_O_tilde`` and ``chi_C = chi(dC rho)``; one ``chi``
-    call evaluates the three run probabilities on the stacked slot arrays.
+    call checks and evaluates the three run probabilities on the stacked
+    slot arrays.
+    """
+    return _recursion(P_O_prev, params, shape, dB, dS, dC, checked=True)[0]
+
+
+def _recursion(P_O_prev, params, shape, dB, dS, dC, checked=False):
+    """``block_recursion``'s fields, the stacked slot array [rho, dS rho, dC rho]
+    and its complement q = 1 - slot; ``chi`` runs unchecked unless ``checked``.
+
+    Where no interferer transmits (lam_eff = 0) the interference exponent is
+    0, also when 2 pi I overflows; a finite 2 pi I times 0 is 0 anyway.
     """
     pre = 1.0 - P_O_prev
     d_eff = dB + (1.0 - dB) * dS
     lam_eff = params.lam * (pre * d_eff + P_O_prev * dC)
     b = 2.0 * math.pi * interference_integral(params)
-    rho = np.exp(-noise_exponent(params) - b * lam_eff)
+    interference = b * lam_eff if b < math.inf else np.where(lam_eff > 0.0, math.inf, 0.0)
+    rho = np.exp(-noise_exponent(params) - interference)
 
-    chi_rho, chi_S, chi_C = chi(shape, np.stack([rho, dS * rho, dC * rho]))
+    slot = np.stack([rho, dS * rho, dC * rho])
+    q = 1.0 - slot
+    chi_rho, chi_S, chi_C = chi(shape, slot) if checked else _chi_core(shape, slot, q)
     pi = dB * chi_rho + (1.0 - dB) * chi_S
-    return {
+    pre_pi = pre * pi
+    fields = {
         "rho": rho,
         "pi": pi,
-        "P_O": P_O_prev + pre * pi,
-        "P_O_tilde": pre * pi + P_O_prev * chi_C,
+        "P_O": P_O_prev + pre_pi,
+        "P_O_tilde": pre_pi + P_O_prev * chi_C,
         "chi_C": chi_C,
     }
+    return fields, slot, q
 
 
 def _evaluate_grid(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
     """Vectorized per-block evaluation pipeline over candidate arrays; the history
-    enters only as ``cdf_pcl_cond``, its ``pcl_context()[0]``."""
-    T = shape.T
-    fields = block_recursion(P_O_prev, params, shape, dB, dS, dC)
-    rho = fields["rho"]
-    pre = 1.0 - P_O_prev
+    enters only as ``cdf_pcl_cond``, its ``pcl_context()[0]``.
 
+    One pass: the slot array and its complement come from the recursion, q^T
+    is raised once for the block success 1 - q^T and ``_ex_term``'s closed
+    form, and the kernels run without input checks, since every slot
+    probability lies in [0, 1] by construction.
+    """
+    T = shape.T
+    fields, slot, q = _recursion(P_O_prev, params, shape, dB, dS, dC)
+    pre = 1.0 - P_O_prev
+    qT = q**T
+    fresh = 1.0 - qT
     m = np.stack([pre * dB, pre * (1.0 - dB) * dS, P_O_prev * dC])
-    slot_p = np.stack([rho, dS * rho, dC * rho])
-    m = m * (1.0 - (1.0 - slot_p) ** T)  # regime fraction * block success
+    m *= fresh  # regime fraction * block success
     pz = m.sum(axis=0)
     valid = pz > 0.0
-    ex = _ex_term(slot_p, T)
-    theta_curr = np.where(valid, (m * ex).sum(axis=0) / np.where(valid, pz, 1.0), np.nan)
+    pz_safe = np.where(valid, pz, 1.0)
+    ex = _ex_core(slot, q, qT, fresh, T)
+    theta_curr = np.where(valid, (m * ex).sum(axis=0) / pz_safe, np.nan)
 
     if config.cdf_mode == "indicator":
         cdf_curr = np.where(valid & (theta_curr <= config.eta_curr), pz, 0.0)
@@ -195,9 +219,9 @@ def _evaluate_grid(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
     cdf_pcl = cdf_pcl_cond * fields["P_O_tilde"]
     cost = fields["P_O"] + config.rho1 * cdf_curr + config.rho2 * cdf_pcl
     if config.history_scalar == "predominant":
-        p_scalar = (dB + (1.0 - dB) * dS) * rho
+        p_scalar = (dB + (1.0 - dB) * dS) * fields["rho"]
     else:
-        p_scalar = np.where(valid, (m * slot_p).sum(axis=0) / np.where(valid, pz, 1.0), 0.0)
+        p_scalar = np.where(valid, (m * slot).sum(axis=0) / pz_safe, 0.0)
     return {
         **fields,
         "p_scalar": p_scalar,

@@ -69,30 +69,47 @@ def chi(shape: BlockShape, x):
     so the result is clamped to [0, 1].
     """
     arr = _check_prob(x)
+    out = _chi_core(shape, arr, 1.0 - arr)
+    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def _chi_core(shape: BlockShape, x, q):
+    """``chi`` of an array ``x`` in [0, 1], unchecked, given its complement q = 1 - x.
+
+    Factors that are exactly 1 (a binomial or ratio of 1, q^0) are not
+    multiplied in, q^1 is q, and the magnitude sum is skipped where the
+    exact bound on it is at most 2^52 1e-12 (6 at T=5, v=2), since no point
+    can then need the chain: each gives the bits of the full sum.
+    """
     T, v = shape.T, shape.v
-    total = np.zeros_like(arr)
-    magnitude = np.zeros_like(arr)
-    one_minus = 1.0 - arr
+    total = np.zeros_like(x)
     runs = range(1, (T + 1) // (v + 1) + 1)
     # binomials computed in exact integer arithmetic, one float conversion;
     # term l is at most comb(T - l v, l - 1) max(l, T - l v + 1)
     coeffs = [math.comb(T - l * v, l - 1) for l in runs]
-    if sum(c * max(l, T - l * v + 1) for l, c in zip(runs, coeffs)) > _CHI_MAX_BOUND:
+    bound = sum(c * max(l, T - l * v + 1) for l, c in zip(runs, coeffs))
+    magnitude = None if bound <= _CHI_MAX_MAGNITUDE else np.zeros_like(x)
+    if bound > _CHI_MAX_BOUND:
         magnitude[...] = math.inf  # every point is lossy
-    else:
-        for l, coeff in zip(runs, coeffs):
-            boundary = arr + ((T - l * v + 1) / l) * one_minus
-            term = float(coeff) * boundary * arr ** (l * v) * one_minus ** (l - 1)
-            if l % 2 == 1:
-                total += term
-            else:
-                total -= term
+        coeffs = []
+    for l, coeff in zip(runs, coeffs):
+        ratio = (T - l * v + 1) / l
+        term = x + (q if ratio == 1.0 else ratio * q)
+        if coeff != 1:
+            term = float(coeff) * term
+        term = term * x ** (l * v)
+        if l > 1:
+            term = term * (q if l == 2 else q ** (l - 1))
+        if l % 2 == 1:
+            total += term
+        else:
+            total -= term
+        if magnitude is not None:
             magnitude += term
-    if magnitude.max(initial=0.0) > _CHI_MAX_MAGNITUDE:
+    if magnitude is not None and magnitude.max(initial=0.0) > _CHI_MAX_MAGNITUDE:
         lossy = magnitude > _CHI_MAX_MAGNITUDE
-        total[lossy] = run_probability(np.broadcast_to(arr[lossy][:, None], (lossy.sum(), T)), v)
-    out = np.clip(total, 0.0, 1.0)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        total[lossy] = run_probability(np.broadcast_to(x[lossy][:, None], (lossy.sum(), T)), v)
+    return np.clip(total, 0.0, 1.0)
 
 
 def run_probability(p, v: int) -> np.ndarray:

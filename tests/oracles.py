@@ -11,9 +11,14 @@ whole ``BlockHistory`` at once, where the library's ``HistoryState`` keeps
 running sums.  The scalar reference pipeline at the end evaluates one
 candidate policy at a time from the library's scalar building blocks and
 those array forms; the optimizer's vectorized grid scan and its running-sum
-``HistoryState`` are tested against it.  ``optimize_block_reference``
-scores the whole grid in one ``_evaluate_grid`` call, the form the
-optimizer's sliced scan must reproduce bit for bit.
+``HistoryState`` are tested against it.  ``evaluate_grid_reference``
+computes the grid scan step by step: it builds the slot array and its
+complement again where it needs them, raises q^T twice, and evaluates
+``chi_reference`` and ``ex_term_reference``, the kernels' full sums; the
+optimizer's one-pass scan and its unchecked cores must reproduce it bit for
+bit.  ``optimize_block_reference`` scores the whole grid in one
+``evaluate_grid_reference`` call, the form the optimizer's sliced scan must
+reproduce bit for bit.
 """
 
 import itertools
@@ -34,9 +39,9 @@ from blockaloha import (
     pcl_pmf,
     slot_success_prob,
 )
-from blockaloha.latency import VIRTUAL_BLOCK_MODES, _ex_term, _pcl_weights
-from blockaloha.optimizer import _evaluate_grid
-from blockaloha.spatial import interference_tail
+from blockaloha.latency import _EX_SERIES_MAX_TP, VIRTUAL_BLOCK_MODES, _ex_term, _pcl_weights
+from blockaloha.runlength import _CHI_MAX_BOUND, _CHI_MAX_MAGNITUDE, run_probability
+from blockaloha.spatial import interference_integral, interference_tail, noise_exponent
 
 
 def max_run(bits) -> int:
@@ -517,7 +522,7 @@ def evaluate_candidate(k, policy, P_O_prev, hist, params, shape, config) -> Metr
 
 
 def optimize_block_reference(k, P_O_prev, state, params, shape, config):
-    """``optimize_block`` with the whole grid in one ``_evaluate_grid`` call.
+    """``optimize_block`` with the whole grid in one ``evaluate_grid_reference`` call.
 
     Scores every candidate at once, applies the documented tie-break (cost
     within 1e-12 of the maximum, then the smallest delta_B, the largest
@@ -528,7 +533,7 @@ def optimize_block_reference(k, P_O_prev, state, params, shape, config):
     B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
     dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
     cdf_pcl_cond, pcl_mean = state.pcl_context()
-    fields = _evaluate_grid(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC)
+    fields = evaluate_grid_reference(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC)
     cost = fields["cost"]
     ties = np.flatnonzero(cost >= cost.max() - 1e-12)
     best = int(ties[np.lexsort((dC[ties], -dS[ties], dB[ties]))[0]])
@@ -539,3 +544,106 @@ def optimize_block_reference(k, P_O_prev, state, params, shape, config):
         k, *policy.as_tuple(), pcl_mean=pcl_mean, theta_pl=theta[0], theta_pa=theta[1],
         **{name: float(arr[best]) for name, arr in fields.items()},
     )
+
+
+def chi_reference(shape, x):
+    """``chi`` by its full alternating sum: every term with its coefficient and
+    q powers multiplied in, and the magnitude sum taken at every point."""
+    arr = np.asarray(x, dtype=float)
+    T, v = shape.T, shape.v
+    total = np.zeros_like(arr)
+    magnitude = np.zeros_like(arr)
+    one_minus = 1.0 - arr
+    runs = range(1, (T + 1) // (v + 1) + 1)
+    coeffs = [math.comb(T - l * v, l - 1) for l in runs]
+    if sum(c * max(l, T - l * v + 1) for l, c in zip(runs, coeffs)) > _CHI_MAX_BOUND:
+        magnitude[...] = math.inf
+    else:
+        for l, coeff in zip(runs, coeffs):
+            boundary = arr + ((T - l * v + 1) / l) * one_minus
+            term = float(coeff) * boundary * arr ** (l * v) * one_minus ** (l - 1)
+            if l % 2 == 1:
+                total += term
+            else:
+                total -= term
+            magnitude += term
+    if magnitude.max(initial=0.0) > _CHI_MAX_MAGNITUDE:
+        lossy = magnitude > _CHI_MAX_MAGNITUDE
+        total[lossy] = run_probability(np.broadcast_to(arr[lossy][:, None], (lossy.sum(), T)), v)
+    out = np.clip(total, 0.0, 1.0)
+    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def ex_term_reference(p, T):
+    """``_ex_term`` with its own q and q^T, taken at p = 1 wherever the series
+    or the zero applies."""
+    if T == 1:
+        return np.zeros_like(np.asarray(p, dtype=float))
+    p = np.asarray(p, dtype=float)
+    closed = p >= _EX_SERIES_MAX_TP / T
+    safe = np.where(closed, p, 1.0)
+    q = 1.0 - safe
+    qT = q**T
+    out = np.asarray(q / safe - T * qT / (1.0 - qT))
+    if not closed.all():
+        series = ~closed & (p > 0.0)
+        x, t2 = p[series], float(T * T)
+        poly = 1.0 + x / 2.0 - (t2 - 19.0) * x**2 / 60.0 - (t2 - 9.0) * x**3 / 40.0
+        out[series] = (T - 1) / 2.0 - (t2 - 1.0) * x / 12.0 * poly
+    return out
+
+
+def evaluate_grid_reference(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
+    """The optimizer's ``_evaluate_grid`` computed step by step: the
+    recursion, then the slot array, its complement and q^T again for the
+    current-block latency, through the reference kernels."""
+    T = shape.T
+    pre = 1.0 - P_O_prev
+    d_eff = dB + (1.0 - dB) * dS
+    lam_eff = params.lam * (pre * d_eff + P_O_prev * dC)
+    b = 2.0 * math.pi * interference_integral(params)
+    rho = np.exp(-noise_exponent(params) - b * lam_eff)
+    chi_rho, chi_S, chi_C = chi_reference(shape, np.stack([rho, dS * rho, dC * rho]))
+    pi = dB * chi_rho + (1.0 - dB) * chi_S
+    fields = {
+        "rho": rho,
+        "pi": pi,
+        "P_O": P_O_prev + pre * pi,
+        "P_O_tilde": pre * pi + P_O_prev * chi_C,
+        "chi_C": chi_C,
+    }
+
+    m = np.stack([pre * dB, pre * (1.0 - dB) * dS, P_O_prev * dC])
+    slot_p = np.stack([rho, dS * rho, dC * rho])
+    m = m * (1.0 - (1.0 - slot_p) ** T)  # regime fraction * block success
+    pz = m.sum(axis=0)
+    valid = pz > 0.0
+    ex = ex_term_reference(slot_p, T)
+    theta_curr = np.where(valid, (m * ex).sum(axis=0) / np.where(valid, pz, 1.0), np.nan)
+
+    if config.cdf_mode == "indicator":
+        cdf_curr = np.where(valid & (theta_curr <= config.eta_curr), pz, 0.0)
+    else:
+        cdf_curr = np.zeros_like(pz)
+        if valid.any():
+            vals = theta_curr[valid]
+            order = np.sort(vals)
+            n_valid = vals.size
+            worse = n_valid - np.searchsorted(order, vals, side="right")
+            cdf_curr[valid] = worse / n_valid * pz[valid]
+
+    cdf_pcl = cdf_pcl_cond * fields["P_O_tilde"]
+    cost = fields["P_O"] + config.rho1 * cdf_curr + config.rho2 * cdf_pcl
+    if config.history_scalar == "predominant":
+        p_scalar = (dB + (1.0 - dB) * dS) * rho
+    else:
+        p_scalar = np.where(valid, (m * slot_p).sum(axis=0) / np.where(valid, pz, 1.0), 0.0)
+    return {
+        **fields,
+        "p_scalar": p_scalar,
+        "theta_curr": theta_curr,
+        "block_success_prob": pz,
+        "cdf_curr": cdf_curr,
+        "cdf_pcl": cdf_pcl,
+        "cost": cost,
+    }

@@ -92,6 +92,16 @@ def test_overflowing_noise_exponent_gives_zero_success(tmp_path):
         assert {float(x) for row in rows for x in row[first : last + 1]} == {0.0}
 
 
+def test_optimize_where_the_interference_integral_overflows(tmp_path):
+    # 2 pi I overflows at r0 = 1.2e154; the candidates with no transmitting
+    # interferer used to get inf * 0 = nan for their slot probability
+    assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "r0=1.2e154",
+                   "--set", "K=2") == 0
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    assert len(rows) == 2 and {float(row[4]) for row in rows} == {0.0}
+
+
 def test_optimize_at_a_block_too_long_for_chi_binomials(tmp_path):
     # comb(1999, l - 1) overflows a float at T=2000, v=1: chi's chain route
     # gives a probability, not an OverflowError

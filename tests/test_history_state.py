@@ -116,6 +116,10 @@ def test_peak_metrics_bounds_property():
             assert pa >= pl, (mode, pl, pa)
             if mode == "boundary":
                 assert pl >= 1.0 - 1e-9 and pa >= T + 1.0 - 1e-9, (pl, pa)
+                # the public functions fold the same state
+                hist = BlockHistory(T, (*past, p), (*past, p), (*past, p))
+                assert expected_peak_latency(hist, mode) == pl
+                assert expected_paoi(hist, mode) == pa
 
     holds()
 

@@ -250,17 +250,17 @@ def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape)
 
 def test_block_recursion_calls_chi_once_per_block(monkeypatch):
     # rho, delta_S rho and delta_C rho of every candidate in a slice go in
-    # one call; a grid of more than one slice may add one call for a winner
-    # whose slice the scan has already dropped
+    # one call of the scan's unchecked kernel; a grid of more than one slice
+    # may add one call for a winner whose slice the scan has already dropped
     import blockaloha.optimizer as optimizer
 
-    real_chi, calls = optimizer.chi, []
+    real_core, calls = optimizer._chi_core, []
 
-    def counting_chi(shape, x):
+    def counting_core(shape, x, q):
         calls.append(np.shape(x))
-        return real_chi(shape, x)
+        return real_core(shape, x, q)
 
-    monkeypatch.setattr(optimizer, "chi", counting_chi)
+    monkeypatch.setattr(optimizer, "_chi_core", counting_core)
     cfg = config(K=5, grid_step=0.25)
     run_horizon(PARAMS, SHAPE, cfg)
     assert calls == [(3, cfg.grid_values.size ** 3)] * cfg.K
@@ -280,6 +280,78 @@ def test_block_recursion_calls_chi_once_per_block(monkeypatch):
             assert len(calls) - len(sliced) <= 1
             lone += len(calls) - len(sliced)
     assert lone > 0  # the one-candidate evaluation was exercised
+
+
+# the scan against the reference scan: the defaults; T=1, where _ex_term is
+# 0; a dense network whose slot probabilities reach _ex_term's series
+# (T p < 1e-2); the congested network; T=200, v=2, where chi evaluates some
+# points by the run-length chain.  Every grid has delta = 0 rows, where a
+# slot probability is 0.
+SCAN_CASES = {
+    "defaults": (PARAMS, SHAPE),
+    "T1": (PARAMS, BlockShape(1, 1)),
+    "series": (dataclasses.replace(PARAMS, lam=1e-2), SHAPE),
+    "congested": CONGESTED,
+    "T200": (PARAMS, BlockShape(200, 2)),
+}
+
+
+@pytest.mark.parametrize("history_scalar", ["posterior", "predominant"])
+@pytest.mark.parametrize("cdf_mode", ["indicator", "grid-rank"])
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_scan_equals_the_reference_scan_bitwise(case, cdf_mode, history_scalar, monkeypatch):
+    import blockaloha.runlength as runlength
+    from blockaloha.optimizer import _evaluate_grid
+    from oracles import evaluate_grid_reference
+
+    chain_calls = []
+    real_chain = runlength.run_probability
+    monkeypatch.setattr(runlength, "run_probability",
+                        lambda p, v: chain_calls.append(p.shape) or real_chain(p, v))
+    params, shape = SCAN_CASES[case]
+    cfg = config(grid_step=0.05, cdf_mode=cdf_mode, history_scalar=history_scalar)
+    vals = cfg.grid_values
+    B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
+    dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
+    for P_prev in (0.0, 0.55, 1.0):
+        got = _evaluate_grid(P_prev, 0.7, params, shape, cfg, dB, dS, dC)
+        want = evaluate_grid_reference(P_prev, 0.7, params, shape, cfg, dB, dS, dC)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), (name, P_prev)
+        slot = np.concatenate([want["rho"], dS * want["rho"], dC * want["rho"]])
+        assert (slot == 0.0).any()
+        if case == "series":
+            assert ((slot > 0.0) & (slot < 1e-2 / shape.T)).any()
+    assert bool(chain_calls) == (case == "T200")
+
+
+def test_block_recursion_takes_no_interference_where_no_interferer_transmits():
+    # 2 pi I overflows at r0 = 1.2e154 while the noise exponent (N0 = 5e-324)
+    # stays finite: where lam_eff = 0 the exponent is 0, not inf * 0 = nan
+    from blockaloha.optimizer import _evaluate_grid
+    from blockaloha.spatial import interference_integral, noise_exponent
+
+    params = NetworkParams(lam=1e-4, alpha=2.05, gamma=0.1, xi=10.0, N0=5e-324, r0=1.2e154)
+    assert 2.0 * math.pi * interference_integral(params) == math.inf
+    quiet = math.exp(-noise_exponent(params))
+    assert 0.0 < quiet < 1.0
+    cfg = config(grid_step=0.5)
+    vals = cfg.grid_values
+    B, S, C = np.meshgrid(vals, vals, vals, indexing="ij")
+    dB, dS, dC = B.ravel(), S.ravel(), C.ravel()
+    for P_prev in (0.0, 0.5, 1.0):
+        silent = (1.0 - P_prev) * (dB + (1.0 - dB) * dS) + P_prev * dC == 0.0
+        assert silent.any() and not silent.all()
+        fields = block_recursion(P_prev, params, SHAPE, dB, dS, dC)
+        assert (fields["rho"][~silent] == 0.0).all()
+        assert fields["rho"][silent] == pytest.approx(quiet, rel=1e-15)
+        scan = _evaluate_grid(P_prev, 1.0, params, SHAPE, cfg, dB, dS, dC)
+        for name in fields:
+            assert scan[name].tobytes() == fields[name].tobytes(), name
+        for name in ("P_O", "cost", "p_scalar", "block_success_prob"):
+            assert not np.isnan(scan[name]).any(), name
 
 
 def test_optimize_block_reads_pcl_context_once_per_block(monkeypatch):

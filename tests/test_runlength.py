@@ -126,6 +126,40 @@ def test_chi_routes_binomials_past_float_range_to_the_chain(T):
     assert abs(scalar - float(run_probability(np.full(T, 0.3), 1))) <= 1e-12
 
 
+def test_chi_skips_only_exact_work(monkeypatch):
+    # where the exact term bound keeps every point's estimate within 1e-12
+    # chi skips the magnitude sum, and it never multiplies by a binomial,
+    # ratio or q power equal to 1: the full sum gives the same bits, for
+    # arrays and for scalars, on both sides of that bound
+    import blockaloha.runlength as runlength
+    from oracles import chi_reference
+
+    def certified(T, v):
+        runs = range(1, (T + 1) // (v + 1) + 1)
+        bound = sum(math.comb(T - l * v, l - 1) * max(l, T - l * v + 1) for l in runs)
+        return bound <= 2.0**52 * 1e-12
+
+    assert certified(5, 2) and certified(10, 5) and not certified(200, 2)
+    xs = np.linspace(0.0, 1.0, 101)
+    sides = set()
+    for T in range(1, 61):
+        for v in range(1, T + 1):
+            shape = BlockShape(T, v)
+            sides.add(certified(T, v))
+            assert chi(shape, xs).tobytes() == chi_reference(shape, xs).tobytes(), (T, v)
+            for x in xs[::10]:
+                assert chi(shape, x).hex() == chi_reference(shape, x).hex(), (T, v, x)
+    assert sides == {True, False}
+    # T=200, v=2 sends some of its points to the chain, as the full sum does
+    chain_calls = []
+    real_chain = runlength.run_probability
+    monkeypatch.setattr(runlength, "run_probability",
+                        lambda p, v: chain_calls.append(p.shape) or real_chain(p, v))
+    shape = BlockShape(200, 2)
+    assert chi(shape, xs).tobytes() == chi_reference(shape, xs).tobytes()
+    assert chain_calls and chain_calls[0][0] < xs.size
+
+
 def test_chi_is_a_monotone_probability_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
