@@ -4,11 +4,12 @@ Bernoulli tier: slot outcomes drawn from given per-block success
 probabilities, measuring empirical run, latency, age, and controllability
 statistics.  Spatial tier: full PPP + Rayleigh fading + SINR simulation of
 the typical link, or, with the fading integrated out, each slot's success
-probability given its interferer positions; one body reduces either to
-the slot, run and block statistics.  All estimators are seed-deterministic
-and independent of the worker count: episodes are split into fixed-size
-batches, each batch gets its own counter-based random stream keyed by
-(seed, batch index), and sufficient statistics are merged in batch order.
+probability given its interferer positions; one sampler draws either and
+one body reduces it to the slot, run and block statistics.  All estimators
+are seed-deterministic and independent of the worker count: episodes are
+split into fixed-size batches, each batch gets its own counter-based random
+stream keyed by (seed, batch index), and sufficient statistics are merged
+in batch order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .latency import VIRTUAL_BLOCK_MODES
 from .runlength import BlockShape, _check_prob, run_probability
 from .spatial import (
     AccessPolicy,
@@ -236,7 +238,7 @@ def simulate_bernoulli(
     p = _check_prob(p_seq, "p_seq")
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p_seq must be a non-empty 1-D sequence")
-    if virtual_block not in ("extend", "boundary"):
+    if virtual_block not in VIRTUAL_BLOCK_MODES:
         raise ValueError(f"unknown virtual_block mode {virtual_block!r}")
     k, T, v = p.size, shape.T, shape.v
 
@@ -349,29 +351,36 @@ def _interferer_gains(x: np.ndarray, disk_radius: float, params: NetworkParams) 
     return x
 
 
-def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry, outer):
-    """Slot successes and interference, both of shape (n, T), of one batch.
+def _slot_probs(rng, n, T, mean_pts, disk_radius, params, geometry, fading, outer):
+    """Success probabilities p, shape (n, T), of one batch's slots.
 
     Draws: interferer counts per cell (a slot, or a frozen episode), their
-    uniforms u, then per slot the interferer and the signal fading.  The
-    link holds when its Exp(1) fading beats ``outer`` plus the sum of the
-    interferers' faded gains g (r0/r)^a (``_interferer_gains``), which is
-    the interference returned, in units of the signal's xi r0^-a / g: so
-    with probability exp(-outer - interference) given the disk's field.
-    Each cell sums its interferers through ``_group_sums``.  ``per-slot``
-    uses each uniform once and reads the fading from a view of the same
-    stream skipped past them.  ``per-episode`` reuses each gain T times, so
-    it keeps them all, and draws their fading from the stream once per slot.
+    uniforms, which ``_interferer_gains`` maps to gains g (r0/r)^a, then,
+    with 'drawn' ``fading``, per slot the interferer and the signal fading.
+    Each cell sums one value per interferer through ``_group_sums``: drawn,
+    the faded gain, and p is 1 where the link's Exp(1) fading beats
+    ``outer`` (the noise and outside-disk exponents) plus that sum, in units
+    of the signal's xi r0^-a / g; 'integrated' (``per-slot`` only), log1p of
+    the gain, as under Rayleigh fading an interferer keeps the link with
+    probability 1 / (1 + g (r0/r)^a), and p = exp(-outer - sum).
+    ``per-slot`` uses each uniform once and reads the fading from a view of
+    the same stream skipped past them.  ``per-episode`` reuses each gain T
+    times, so it keeps them all, and draws their fading once per slot.
     """
+    drawn = fading == "drawn"
     if geometry == "per-slot":
         counts = rng.poisson(mean_pts, size=n * T)
-        fading_rng = _skipped(rng, int(counts.sum()))
+        fading_rng = _skipped(rng, int(counts.sum())) if drawn else None
 
         def fill(lo, out):
             gains = _interferer_gains(rng.random(out=out), disk_radius, params)
-            return np.multiply(gains, fading_rng.standard_exponential(out.size), out=out)
+            if drawn:
+                return np.multiply(gains, fading_rng.standard_exponential(out.size), out=out)
+            return np.log1p(gains, out=out)
 
-        interference = _group_sums(counts, fill).reshape(n, T)
+        sums = _group_sums(counts, fill).reshape(n, T)
+        if not drawn:
+            return np.exp(-(sums + outer))
         signal = fading_rng.exponential(size=n * T).reshape(n, T)
     else:
         counts = rng.poisson(mean_pts, size=n)
@@ -381,31 +390,12 @@ def _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry, outer):
             rng.standard_exponential(out=out)
             return np.multiply(gains[lo : lo + out.size], out, out=out)
 
-        interference = np.empty((n, T))
+        sums = np.empty((n, T))
         signal = np.empty((n, T))
         for t in range(T):
-            interference[:, t] = _group_sums(counts, fill)
+            sums[:, t] = _group_sums(counts, fill)
             signal[:, t] = rng.exponential(size=n)
-    return signal > outer + interference, interference
-
-
-def _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer):
-    """Success probability of each slot of one ``per-slot`` batch given its
-    interferers, shape (n, T), with the fading integrated out.
-
-    Draws the interferer counts per slot and their uniforms, as
-    ``_spatial_slots`` does, and no fading.  Under Rayleigh fading an
-    interferer of gain g (r0/r)^a keeps the link with probability
-    1 / (1 + g (r0/r)^a), so the slot succeeds with exp(-outer - sum
-    log1p(g (r0/r)^a)), ``outer`` holding the noise and outside-disk exponents.
-    """
-    counts = rng.poisson(mean_pts, size=n * T)
-
-    def fill(lo, out):
-        return np.log1p(_interferer_gains(rng.random(out=out), disk_radius, params), out=out)
-
-    exponent = _group_sums(counts, fill)
-    return np.exp(-(exponent + outer)).reshape(n, T)
+    return (signal > outer + sums).astype(float)
 
 
 def simulate_spatial(
@@ -436,14 +426,15 @@ def simulate_spatial(
     mean-field value (the meta-distribution effect).  Its slot marginals are
     exact, but the correlation the frozen field beyond R adds is left out.
 
-    ``fading`` selects what fills a batch's (n, T) array p of slot success
-    probabilities: 'drawn' (default) draws every fading and p holds the 0/1
-    SINR outcomes (``_spatial_slots``); 'integrated' (``per-slot`` only)
-    draws the positions alone and p holds each slot's success probability
-    given them (``_slot_probs``).  One body reduces p: the slot rate,
-    ``run_probability(p, v)`` (exact on 0/1 slots) and 1 - prod(1 - p),
-    each averaged over independent cells: episodes, and for the 'per-slot'
-    slot rate, slots.  0/1 samples get binomial standard errors.
+    One sampler, ``_slot_probs``, fills a batch's (n, T) array p of slot
+    success probabilities, and ``fading`` selects with what: 'drawn'
+    (default) draws every fading and p holds the 0/1 SINR outcomes;
+    'integrated' (``per-slot`` only) draws the positions alone and p holds
+    each slot's success probability given them.  One body reduces p: the
+    slot rate, ``run_probability(p, v)`` (exact on 0/1 slots) and
+    1 - prod(1 - p), each averaged over independent cells: episodes, and
+    for the 'per-slot' slot rate, slots.  0/1 samples get binomial standard
+    errors.
     """
     if geometry not in ("per-slot", "per-episode"):
         raise ValueError(f"unknown geometry mode {geometry!r}")
@@ -460,11 +451,7 @@ def simulate_spatial(
 
     @np.errstate(under="ignore")  # a far interferer's gain may round to 0
     def batch(rng, n):
-        if fading == "integrated":
-            p = _slot_probs(rng, n, T, mean_pts, disk_radius, params, outer)
-        else:
-            p = _spatial_slots(rng, n, T, mean_pts, disk_radius, params, geometry,
-                               outer)[0].astype(float)
+        p = _slot_probs(rng, n, T, mean_pts, disk_radius, params, geometry, fading, outer)
         return {
             "slot_rate": _centered(p.mean(axis=1) if geometry == "per-episode" else p),
             "run_freq": _centered(run_probability(p, v)),

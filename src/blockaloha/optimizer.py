@@ -33,7 +33,7 @@ from .latency import VIRTUAL_BLOCK_MODES, HistoryState, _ex_core
 # Not used here: the traced benchmark run (benchmarks/run.py --trace 1) wraps
 # these names on this module.  Drop this line with the next benchmark change.
 from .latency import _pcl_weights, expected_paoi, expected_peak_latency  # noqa: F401
-from .runlength import BlockShape, _chi_core, chi
+from .runlength import BlockShape, _check_prob, _chi_core, chi
 from .spatial import AccessPolicy, NetworkParams, interference_integral, noise_exponent
 
 __all__ = [
@@ -147,8 +147,10 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
     ``pi = dB chi(rho) + (1 - dB) chi(dS rho)``, cumulative ``P_O``,
     instantaneous ``P_O_tilde`` and ``chi_C = chi(dC rho)``; one ``chi``
     call checks and evaluates the three run probabilities on the stacked
-    slot arrays.
+    slot arrays.  ``P_O_prev`` and the deltas must lie in [0, 1].
     """
+    for name, x in (("P_O_prev", P_O_prev), ("dB", dB), ("dS", dS), ("dC", dC)):
+        _check_prob(x, name)
     return _recursion(P_O_prev, params, shape, dB, dS, dC, checked=True)[0]
 
 
@@ -261,6 +263,8 @@ def optimize_block(
     ranks each candidate against the whole grid, so it scans the grid as
     one slice.
     """
+    if not 0.0 <= P_O_prev <= 1.0:  # NaN fails it too
+        raise ValueError(f"P_O_prev must lie in [0, 1], got {P_O_prev}")
     if state is None:
         state = HistoryState.start(shape.T, config.virtual_block, config.eta_pcl)
     if len(state) != k - 1:

@@ -120,10 +120,16 @@ def interference_integral(params: NetworkParams, backend: str = "closed") -> flo
     'closed' uses I = r0^2 g^(2/a) (pi/a) / sin(2 pi/a).  'quadrature'
     substitutes r = r0 g^(1/a) e^(y/a), so that
     I = r0^2 g^(2/a) (1/a) int e^(2y/a) / (1 + e^y) dy over the real line,
-    and sums it with the trapezoid rule of ``_trapezoid_unit``.
+    and sums it with the trapezoid rule of ``_trapezoid_unit``.  Where r0^2
+    overflows (r0 >= 1.341e154), r0^2 g^(2/a) is taken in logarithms, and I
+    is inf where it overflows too, as in ``noise_exponent``.
     """
     a, g, r0 = params.alpha, params.gamma, params.r0
-    scale = r0**2 * g ** (2.0 / a)
+    try:
+        scale = r0**2 * g ** (2.0 / a)
+    except OverflowError:
+        log_scale = 2.0 * math.log(r0) + 2.0 / a * math.log(g)
+        scale = math.exp(log_scale) if log_scale < _LOG_MAX else math.inf
     if backend == "closed":
         unit = (math.pi / a) / math.sin(2.0 * math.pi / a)
     elif backend == "quadrature":
@@ -199,12 +205,14 @@ def slot_success_prob(
     """Conditional slot success probability of the typical link.
 
     Product of the noise-limited Rayleigh term exp(-g N0 r0^a / xi) and the
-    interference term exp(-2 pi lambda_eff I).  Both backends of the
-    interference integral agree to better than 1e-9 relative.
+    interference term exp(-2 pi lambda_eff I), which is 1 at lambda_eff = 0
+    even where I is inf.  Both backends of the interference integral agree
+    to better than 1e-9 relative.
     """
     if lambda_eff < 0.0:
         raise ValueError(f"lambda_eff must be >= 0, got {lambda_eff}")
-    interf = 2.0 * math.pi * lambda_eff * interference_integral(params, backend)
+    integral = interference_integral(params, backend)
+    interf = 2.0 * math.pi * lambda_eff * integral if lambda_eff > 0.0 else 0.0
     return math.exp(-noise_exponent(params) - interf)
 
 

@@ -231,11 +231,12 @@ def sample_sinr_success(params, lambda_eff, rng, disk_radius=None) -> bool:
 def spatial_slots_reference(rng, n, T, mean_pts, disk_radius, params, geometry, outside):
     """One spatial batch with a per-interferer owner index and ``np.bincount``.
 
-    Same draws, same order and same (n, T) results (slot successes and
-    interference) as ``blockaloha.montecarlo._spatial_slots``; every
-    intermediate holds one entry per interferer.  A slot succeeds when its
-    signal power beats gamma (N0 + interference) plus the outside-disk
-    exponent ``outside`` (lambda_eff A_out(R)) in watts of signal.
+    Same draws, same order and the same (n, T) slot successes as
+    ``blockaloha.montecarlo._slot_probs`` with drawn fading; it also returns
+    the interference, in watts.  Every intermediate holds one entry per
+    interferer.  A slot succeeds when its signal power beats
+    gamma (N0 + interference) plus the outside-disk exponent ``outside``
+    (lambda_eff A_out(R)) in watts of signal.
     """
     signal_scale = params.xi * params.r0 ** (-params.alpha)
     outside_power = outside * signal_scale
@@ -271,9 +272,10 @@ def spatial_probs_reference(rng, n, T, mean_pts, disk_radius, params):
     """Disk part of each slot's success probability given its interferers,
     prod_j 1 / (1 + g (r0/r_j)^a), shape (n, T), of one ``per-slot`` batch.
 
-    Same draws and order as ``blockaloha.montecarlo._slot_probs``: counts,
-    then one uniform per interferer, no fading.  Every intermediate holds one
-    entry per interferer; each slot sums its log factors with ``np.bincount``.
+    Same draws and order as ``blockaloha.montecarlo._slot_probs`` with
+    integrated fading: counts, then one uniform per interferer, no fading.
+    Every intermediate holds one entry per interferer; each slot sums its
+    log factors with ``np.bincount``.
     """
     counts = rng.poisson(mean_pts, size=n * T)
     owner = np.repeat(np.arange(n * T), counts)
@@ -288,7 +290,7 @@ def spatial_reference(params, lambda_eff, T, v, episodes, seed, disk_radius, geo
 
     Returns the success, run and block-success counts, the episode count,
     each episode's fraction of successful slots, and the per-batch (seed
-    stream, size, interference) triples.
+    stream, size, slot successes, interference) tuples.
     """
     mean_pts = lambda_eff * np.pi * disk_radius**2
     outside = lambda_eff * interference_tail(params, disk_radius)
@@ -305,7 +307,7 @@ def spatial_reference(params, lambda_eff, T, v, episodes, seed, disk_radius, geo
         counts["z_cnt"] += int(ok.any(axis=1).sum())
         counts["n"] += n
         counts["episode_rates"].extend(ok.mean(axis=1))
-        batches.append((i, n, interference))
+        batches.append((i, n, ok, interference))
     return counts, batches
 
 

@@ -102,6 +102,23 @@ def test_optimize_where_the_interference_integral_overflows(tmp_path):
     assert len(rows) == 2 and {float(row[4]) for row in rows} == {0.0}
 
 
+def test_commands_where_r0_squared_overflows(tmp_path):
+    # r0^2 overflows from r0 = 1.341e154, where the interference integral
+    # used to raise OverflowError and every command that reads it exited 1
+    for command in ("optimize", "success-prob", "demo-plant"):
+        assert run_cli(command, "--outdir", str(tmp_path), "--set", "r0=1.4e154",
+                       "--set", "K=2") == 0, command
+    assert "nan" not in (tmp_path / "success_prob.csv").read_text()
+    # at r0 = 1e200 the integral is inf but the noise exponent is 1: the
+    # lambda_eff = 0 row is exp(-1), not exp(-1 - 0 * inf) = nan
+    assert run_cli("success-prob", "--outdir", str(tmp_path), "--set", "r0=1e200",
+                   "--set", "alpha=2.1", "--set", "xi=1e119", "--set", "N0=1e-300") == 0
+    lines = (tmp_path / "success_prob.csv").read_text().splitlines()
+    rows = [[float(x) for x in l.split(",")] for l in lines if l[0].isdigit()]
+    assert rows[0][1:] == [pytest.approx(math.exp(-1.0), rel=1e-12)] * 2
+    assert {x for row in rows[1:] for x in row[1:]} == {0.0}
+
+
 def test_optimize_at_a_block_too_long_for_chi_binomials(tmp_path):
     # comb(1999, l - 1) overflows a float at T=2000, v=1: chi's chain route
     # gives a probability, not an OverflowError

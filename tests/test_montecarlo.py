@@ -30,7 +30,6 @@ from blockaloha.montecarlo import (
     _interferer_gains,
     _skipped,
     _slot_probs,
-    _spatial_slots,
 )
 from blockaloha.spatial import interference_tail, noise_exponent
 from oracles import (
@@ -321,9 +320,9 @@ SPATIAL_CASES = [
 @pytest.mark.parametrize("alpha,lam,radius,episodes,batch", SPATIAL_CASES)
 def test_spatial_matches_reference_sampler(alpha, lam, radius, episodes, batch, geometry,
                                            workers):
-    # same draws as the repeat + bincount sampler: identical counts, and
-    # interference equal up to the order of summation; the frozen field's
-    # slot rate is the mean of its episodes' success fractions
+    # same draws as the repeat + bincount sampler: identical counts and
+    # identical 0/1 slot outcomes in every batch; the frozen field's slot
+    # rate is the mean of its episodes' success fractions
     p = NetworkParams(lam=lam, alpha=alpha, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
     shape = BlockShape(5, 2)
     seed = 37
@@ -349,14 +348,12 @@ def test_spatial_matches_reference_sampler(alpha, lam, radius, episodes, batch, 
     mean_pts = lam * math.pi * radius**2
     outer = noise_exponent(p) + lam * interference_tail(p, radius)
     empty_batches = empty_cells = 0
-    for i, size, ref in batches:
-        ok, interference = _spatial_slots(
-            episode_rng(seed, i), size, shape.T, mean_pts, radius, p, geometry, outer
+    for i, size, ok, ref in batches:
+        got = _slot_probs(
+            episode_rng(seed, i), size, shape.T, mean_pts, radius, p, geometry, "drawn", outer
         )
-        assert ok.shape == interference.shape == ref.shape == (size, shape.T)
-        # the package sums gains g (r0/r)^a, the oracle powers in watts
-        ref = ref * (p.gamma * p.r0**p.alpha / p.xi)
-        np.testing.assert_allclose(interference, ref, rtol=1e-12, atol=0.0)
+        assert got.shape == ok.shape == ref.shape == (size, shape.T)
+        np.testing.assert_array_equal(got, ok.astype(float))
         empty_batches += not ref.any()
         empty_cells += int((ref == 0.0).sum())
     if lam < 1e-6:
@@ -380,7 +377,8 @@ def test_spatial_integrated_matches_reference_sampler(alpha, lam, radius, episod
         size = min(batch, episodes - lo)
         ref = math.exp(-outer) * spatial_probs_reference(
             episode_rng(seed, i), size, shape.T, mean_pts, radius, p)
-        got = _slot_probs(episode_rng(seed, i), size, shape.T, mean_pts, radius, p, outer)
+        got = _slot_probs(episode_rng(seed, i), size, shape.T, mean_pts, radius, p,
+                          "per-slot", "integrated", outer)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
         probs.append(ref)
     probs = np.concatenate(probs)

@@ -354,6 +354,24 @@ def test_block_recursion_takes_no_interference_where_no_interferer_transmits():
             assert not np.isnan(scan[name]).any(), name
 
 
+@pytest.mark.parametrize("P_prev, deltas", [
+    (1.5, (0.5, 0.5, 0.5)), (-0.1, (0.5, 0.5, 0.5)), (math.nan, (0.5, 0.5, 0.5)),
+    (0.0, (2.0, 0.0, 0.0)), (0.0, (0.5, -0.5, 0.5)), (0.3, (0.5, 0.5, math.nan)),
+])
+def test_block_recursion_rejects_values_outside_the_unit_interval(P_prev, deltas):
+    # P_O_prev = 0, delta_B = 2 once gave pi = P_O = 1.902, and P_O_prev = 1.5
+    # gave P_O = 1.109
+    one = [np.array([d]) for d in deltas]
+    with pytest.raises(ValueError, match="must lie in"):
+        block_recursion(P_prev, PARAMS, SHAPE, *one)
+
+
+@pytest.mark.parametrize("P_prev", [1.5, -0.1, math.nan])
+def test_optimize_block_rejects_p_o_prev_outside_the_unit_interval(P_prev):
+    with pytest.raises(ValueError, match="P_O_prev must lie in"):
+        optimize_block(1, P_prev, None, PARAMS, SHAPE, config(grid_step=0.5))
+
+
 def test_optimize_block_reads_pcl_context_once_per_block(monkeypatch):
     # the history enters the scan as one scalar: at grid step 0.05 the scan
     # walks five slices, and all of them share one pcl_context read

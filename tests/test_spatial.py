@@ -186,6 +186,23 @@ def test_noise_exponent():
     assert noise_exponent(tiny_noise) == pytest.approx(expected, rel=1e-12)
 
 
+def test_interference_integral_where_r0_squared_overflows():
+    # r0^2 overflows from r0 = 1.341e154: the scale is taken in logarithms,
+    # so I keeps its r0^2 law while r0^2 g^(2/a) fits a float
+    for backend in ("closed", "quadrature"):
+        near = interference_integral(params(r0=1.4e154), backend)
+        assert near == pytest.approx(4.0 * interference_integral(params(r0=0.7e154), backend),
+                                     rel=1e-13)
+    # beyond, I is inf; where no interferer transmits its exponent is 0, so
+    # the success probability is the noise term exp(-1) alone, not nan
+    far = params(r0=1e200, alpha=2.1, xi=1e119, N0=1e-300)
+    assert noise_exponent(far) == pytest.approx(1.0, rel=1e-12)
+    for backend in ("closed", "quadrature"):
+        assert interference_integral(far, backend) == math.inf
+        assert slot_success_prob(far, 0.0, backend) == math.exp(-noise_exponent(far))
+        assert slot_success_prob(far, 1e-4, backend) == 0.0
+
+
 def test_slot_success_monotonicities():
     p = params()
     lams = np.linspace(0.0, 5e-4, 20)
