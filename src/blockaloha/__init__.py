@@ -25,7 +25,6 @@ from .montecarlo import (
 from .optimizer import (
     MetricsRecord,
     OptimizerConfig,
-    PolicyTrace,
     block_recursion,
     optimize_block,
     run_horizon,

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .montecarlo import (
     simulate_renewal_pcl,
     simulate_spatial,
 )
-from .optimizer import OptimizerConfig, _unit_grid, block_recursion, run_horizon
+from .optimizer import MetricsRecord, OptimizerConfig, _unit_grid, block_recursion, run_horizon
 from .plant import default_plant, run_block
 from .runlength import BlockShape, chi, chi_bruteforce
 from .spatial import (
@@ -194,7 +194,7 @@ def _emit(cfg: RunConfig, command: str, stem: str, comments, header, rows, /, **
 
 def cmd_optimize(cfg: RunConfig) -> int:
     """Run the horizon optimizer and emit the per-block trace CSV."""
-    trace = run_horizon(cfg.params, cfg.shape, cfg.optimizer)
+    records = run_horizon(cfg.params, cfg.shape, cfg.optimizer)
     comments = [
         "per-block optimal access policy trace",
         "k: block index (1-based)",
@@ -211,12 +211,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
         "cdf_curr, cdf_pcl: joint CDF terms of the cost at the thresholds",
         "cost: J = P_O + rho1 * cdf_curr + rho2 * cdf_pcl",
     ]
-    header = [
-        "k", "delta_B", "delta_S", "delta_C", "rho", "pi", "P_O", "P_O_tilde",
-        "theta_curr", "theta_pl", "theta_pa", "pcl_mean", "block_success_prob",
-        "cdf_curr", "cdf_pcl", "cost",
-    ]
-    rows = [[getattr(r, name) for name in header] for r in trace.records]
+    header = [f.name for f in fields(MetricsRecord) if f.name not in ("chi_C", "p_scalar")]
+    rows = [[getattr(r, name) for name in header] for r in records]
     path = _emit(cfg, "optimize", "trace", comments, header, rows)
     print(f"wrote {path} ({len(rows)} blocks)")
     return 0

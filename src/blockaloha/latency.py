@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runlength import _check_prob
+from .runlength import _check_count, _check_prob
 
 __all__ = [
     "BlockHistory",
@@ -71,8 +71,7 @@ class BlockHistory:
     chi_C: tuple[float, ...]
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+        _check_count(self.T, "T")
         for name in ("p", "P_O_tilde", "chi_C"):
             arr = _check_prob(getattr(self, name), name)
             if arr.ndim != 1:
@@ -142,8 +141,7 @@ class HistoryState:
     @classmethod
     def start(cls, T: int, virtual_block: str, eta_pcl: float) -> "HistoryState":
         """State before block 1."""
-        if T < 1:
-            raise ValueError(f"T must be >= 1, got {T}")
+        _check_count(T, "T")
         if virtual_block not in VIRTUAL_BLOCK_MODES:
             raise ValueError(f"virtual_block must be one of {VIRTUAL_BLOCK_MODES}")
         if not 0.0 <= eta_pcl < math.inf:

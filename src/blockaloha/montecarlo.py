@@ -446,8 +446,13 @@ def simulate_spatial(
     if disk_radius is None:
         disk_radius = default_disk_radius(lam_eff)
     T, v = shape.T, shape.v
-    mean_pts = lam_eff * math.pi * disk_radius**2
     outer = noise_exponent(params) + lam_eff * interference_tail(params, disk_radius)
+    try:
+        mean_pts = lam_eff * math.pi * disk_radius**2
+    except OverflowError:
+        mean_pts = math.inf
+    if not mean_pts < math.inf:
+        raise ValueError(f"expected interferer count {mean_pts} on the disk is not finite")
 
     @np.errstate(under="ignore")  # a far interferer's gain may round to 0
     def batch(rng, n):

@@ -3,9 +3,11 @@
 Each block k scans the (delta_B, delta_S, delta_C) grid, scoring every
 candidate with J = P_O + rho1 * P(theta_curr <= eta, Z=1)
 + rho2 * P(pcl <= eta, controllable), and picks the maximizer under a
-deterministic tie-break.  The chosen block's scalar statistics are folded
-into a fixed-size ``HistoryState`` that feeds the next block's gap
-distribution, so each block costs the same however long the horizon runs.
+deterministic tie-break; its ``MetricsRecord`` is one row of ``trace.csv``.
+The chosen block's scalar statistics are folded into a fixed-size
+``HistoryState`` that feeds the next block's gap distribution, so each
+block costs the same however long the horizon runs; ``run_horizon``
+starts that history and returns one record per block.
 
 The grid scan is vectorized over candidates and is the only path that
 computes the per-candidate quantities.  Its only history input is one
@@ -25,7 +27,7 @@ form of the formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +35,12 @@ from .latency import VIRTUAL_BLOCK_MODES, HistoryState, _ex_core
 # Not used here: the traced benchmark run (benchmarks/run.py --trace 1) wraps
 # these names on this module.  Drop this line with the next benchmark change.
 from .latency import _pcl_weights, expected_paoi, expected_peak_latency  # noqa: F401
-from .runlength import BlockShape, _check_prob, _chi_core, chi
+from .runlength import BlockShape, _check_count, _check_prob, _chi_core, chi
 from .spatial import AccessPolicy, NetworkParams, interference_integral, noise_exponent
 
 __all__ = [
     "OptimizerConfig",
     "MetricsRecord",
-    "PolicyTrace",
     "block_recursion",
     "optimize_block",
     "run_horizon",
@@ -68,8 +69,7 @@ class OptimizerConfig:
     virtual_block: str = "extend"
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"horizon K must be >= 1, got {self.K}")
+        _check_count(self.K, "horizon K")
         _unit_grid(self.grid_step, "grid_step")
         for name in ("rho1", "rho2"):
             val = getattr(self, name)
@@ -103,7 +103,7 @@ def _unit_grid(step: float, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Outputs of the evaluation pipeline for one candidate at one block."""
+    """One block's ``trace.csv`` row, ``k`` to ``cost``, then its history inputs."""
 
     k: int
     delta_B: float
@@ -113,30 +113,20 @@ class MetricsRecord:
     pi: float
     P_O: float
     P_O_tilde: float
-    chi_C: float
-    p_scalar: float  # scalar slot-success entry appended to the history
     theta_curr: float  # nan for a degenerate candidate
-    block_success_prob: float
+    theta_pl: float
+    theta_pa: float
     pcl_mean: float
+    block_success_prob: float
     cdf_curr: float
     cdf_pcl: float
     cost: float
-    theta_pl: float | None = None
-    theta_pa: float | None = None
+    chi_C: float
+    p_scalar: float  # scalar slot-success entry appended to the history
 
     @property
     def policy(self) -> AccessPolicy:
         return AccessPolicy(self.delta_B, self.delta_S, self.delta_C)
-
-
-@dataclass
-class PolicyTrace:
-    """Chosen per-block records of a horizon run."""
-
-    params: NetworkParams
-    shape: BlockShape
-    config: OptimizerConfig
-    records: list[MetricsRecord] = field(default_factory=list)
 
 
 def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray]:
@@ -238,14 +228,15 @@ def _evaluate_grid(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
 def optimize_block(
     k: int,
     P_O_prev: float,
-    state: HistoryState | None,
+    state: HistoryState,
     params: NetworkParams,
     shape: BlockShape,
     config: OptimizerConfig,
-) -> tuple[AccessPolicy, MetricsRecord]:
+) -> MetricsRecord:
     """Exhaustive grid scan at block k with a deterministic tie-break.
 
-    ``state`` covers blocks 1..k-1 (None for k=1) and must have been built
+    Returns the winner's record; its ``policy`` is the chosen access policy.
+    ``state`` covers blocks 1..k-1 (``HistoryState.start`` for k=1), built
     for ``shape.T``, ``config.virtual_block`` and ``config.eta_pcl``.  Its
     ``pcl_context`` is read once: the cdf is the scan's one history input,
     the mean goes straight into the record, as do the winner's peak metrics.
@@ -265,8 +256,6 @@ def optimize_block(
     """
     if not 0.0 <= P_O_prev <= 1.0:  # NaN fails it too
         raise ValueError(f"P_O_prev must lie in [0, 1], got {P_O_prev}")
-    if state is None:
-        state = HistoryState.start(shape.T, config.virtual_block, config.eta_pcl)
     if len(state) != k - 1:
         raise ValueError(f"history covers {len(state)} blocks, expected {k - 1}")
     if (state.T, state.virtual_block, state.eta_pcl) != (
@@ -293,26 +282,25 @@ def optimize_block(
     best = int(ties[order[0]])
     if best >= lo + step:  # the winner's slice is gone: evaluate it alone
         lo, fields = best, scan(slice(best, best + 1))
-    policy = AccessPolicy(float(dB[best]), float(dS[best]), float(dC[best]))
     p_scalar = float(fields["p_scalar"][best - lo])
     theta = state.peak_metrics(p_scalar) if p_scalar > 0.0 else (math.nan, math.nan)
-    record = MetricsRecord(
-        k, *policy.as_tuple(), pcl_mean=pcl_mean, theta_pl=theta[0], theta_pa=theta[1],
+    return MetricsRecord(
+        k, float(dB[best]), float(dS[best]), float(dC[best]),
+        pcl_mean=pcl_mean, theta_pl=theta[0], theta_pa=theta[1],
         **{name: float(arr[best - lo]) for name, arr in fields.items()},
     )
-    return policy, record
 
 
 def run_horizon(
     params: NetworkParams, shape: BlockShape, config: OptimizerConfig
-) -> PolicyTrace:
-    """Optimize blocks 1..K, threading the controllability state and history."""
-    trace = PolicyTrace(params=params, shape=shape, config=config)
+) -> list[MetricsRecord]:
+    """Optimize blocks 1..K, threading P_O and the history: one record per block."""
+    records = []
     state = HistoryState.start(shape.T, config.virtual_block, config.eta_pcl)
     P_O = 0.0
     for k in range(1, config.K + 1):
-        policy, record = optimize_block(k, P_O, state, params, shape, config)
-        trace.records.append(record)
+        record = optimize_block(k, P_O, state, params, shape, config)
+        records.append(record)
         state = state.extended(record.p_scalar, record.P_O_tilde, record.chi_C)
         P_O = record.P_O
-    return trace
+    return records

@@ -12,6 +12,7 @@ run-length Markov chain.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,14 +40,18 @@ class BlockShape:
     v: int
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"block length T must be >= 1, got {self.T}")
-        if self.v < 1:
-            raise ValueError(f"run length v must be >= 1, got {self.v}")
+        _check_count(self.T, "block length T")
+        _check_count(self.v, "run length v")
         if self.v > self.T:
             # v > T can never be satisfied; treat as a configuration mistake
             # rather than silently returning probability 0.
             raise ValueError(f"run length v={self.v} exceeds block length T={self.T}")
+
+
+def _check_count(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too) >= 1."""
+    if not hasattr(type(value), "__index__") or operator.index(value) < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_prob(x, name="x"):

@@ -182,7 +182,10 @@ def interference_tail(params: NetworkParams, disk_radius: float) -> float:
     U = disk_radius / scale
     lead, q = U ** (2.0 - a), U**-a
     terms = (lead * (-q) ** k / (a * (k + 1) - 2.0) for k in range(_TAIL_TERMS))
-    return 2.0 * math.pi * scale**2 * math.fsum(terms)
+    try:
+        return 2.0 * math.pi * scale**2 * math.fsum(terms)
+    except OverflowError:  # scale^2 overflows: inf, as interference_integral is there
+        return math.inf
 
 
 def noise_exponent(params: NetworkParams) -> float:
@@ -209,7 +212,7 @@ def slot_success_prob(
     even where I is inf.  Both backends of the interference integral agree
     to better than 1e-9 relative.
     """
-    if lambda_eff < 0.0:
+    if not lambda_eff >= 0.0:  # NaN fails it too
         raise ValueError(f"lambda_eff must be >= 0, got {lambda_eff}")
     integral = interference_integral(params, backend)
     interf = 2.0 * math.pi * lambda_eff * integral if lambda_eff > 0.0 else 0.0
@@ -225,7 +228,9 @@ def default_disk_radius(lambda_eff: float) -> float:
     28 on ``validate``'s 300 m disk.  Callers who care about cost pass
     ``disk_radius``.
     """
-    if lambda_eff <= 0.0:
+    if not lambda_eff >= 0.0:  # NaN fails it too
+        raise ValueError(f"lambda_eff must be >= 0, got {lambda_eff}")
+    if lambda_eff == 0.0:
         return 5000.0
     return min(5000.0, 10.0 / math.sqrt(math.pi * lambda_eff * 0.01))
 

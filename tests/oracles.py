@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from blockaloha import (
-    AccessPolicy,
     BlockHistory,
     HistoryState,
     MetricsRecord,
@@ -512,9 +511,11 @@ def evaluate_candidate(k, policy, P_O_prev, hist, params, shape, config) -> Metr
         cdf_curr=float(cdf_curr),
         cdf_pcl=float(cdf_pcl),
         cost=float(cost),
+        theta_pl=math.nan,
+        theta_pa=math.nan,
     )
     if p_scalar <= 0.0:
-        return replace(record, theta_pl=math.nan, theta_pa=math.nan)
+        return record
     full = hist.extended(p_scalar, record.P_O_tilde, record.chi_C)
     return replace(
         record,
@@ -539,11 +540,11 @@ def optimize_block_reference(k, P_O_prev, state, params, shape, config):
     cost = fields["cost"]
     ties = np.flatnonzero(cost >= cost.max() - 1e-12)
     best = int(ties[np.lexsort((dC[ties], -dS[ties], dB[ties]))[0]])
-    policy = AccessPolicy(float(dB[best]), float(dS[best]), float(dC[best]))
     p_scalar = float(fields["p_scalar"][best])
     theta = state.peak_metrics(p_scalar) if p_scalar > 0.0 else (math.nan, math.nan)
-    return policy, MetricsRecord(
-        k, *policy.as_tuple(), pcl_mean=pcl_mean, theta_pl=theta[0], theta_pa=theta[1],
+    return MetricsRecord(
+        k, float(dB[best]), float(dS[best]), float(dC[best]),
+        pcl_mean=pcl_mean, theta_pl=theta[0], theta_pa=theta[1],
         **{name: float(arr[best]) for name, arr in fields.items()},
     )
 

@@ -215,7 +215,7 @@ def test_criterion_7_optimizer_qualitative(horizon_traces):
     failures = []
     transition = {}
     for v in (2, 3):
-        recs = horizon_traces[v].records
+        recs = horizon_traces[v]
         p_o = [r.P_O for r in recs]
         if any(b < a - 1e-15 for a, b in zip(p_o, p_o[1:])):
             failures.append(f"v={v}: P_O not nondecreasing")
@@ -243,7 +243,7 @@ def test_criterion_7_optimizer_qualitative(horizon_traces):
 
 def test_criterion_8_pcl_ordering_in_v(horizon_traces):
     failures = []
-    steady = {v: horizon_traces[v].records[-1].pcl_mean for v in (2, 3, 4, 5)}
+    steady = {v: horizon_traces[v][-1].pcl_mean for v in (2, 3, 4, 5)}
     vals = [steady[v] for v in (2, 3, 4, 5)]
     if not all(b > a for a, b in zip(vals, vals[1:])):
         failures.append(f"not strictly increasing: {vals}")

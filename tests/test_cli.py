@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import json
 import math
 import os
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import blockaloha
-from blockaloha import BlockShape, chi, slot_success_prob
+from blockaloha import BlockShape, NetworkParams, OptimizerConfig, chi, slot_success_prob
 from blockaloha.cli import ConfigError, load_run_config, main, parse_config_file
 from blockaloha.spatial import interference_tail
 
@@ -27,6 +29,43 @@ def test_default_parameters():
     assert cfg.shape.T == 5
     assert cfg.optimizer.eta_curr == 3.0
     assert cfg.optimizer.K == 400
+
+
+def test_defaults_equal_the_library_defaults():
+    # _DEFAULTS keeps raw strings, which the meta sidecar echoes; they must
+    # resolve to the library's own defaults
+    cfg = load_run_config()
+    assert cfg.optimizer == OptimizerConfig()
+    assert cfg.params.r0 == inspect.signature(NetworkParams).parameters["r0"].default
+
+
+# CI's optimize runs, by output directory, and the commands pinned beside them
+_PINNED_RUNS = {
+    "trace-paper": ("optimize",),
+    "trace-congested": ("optimize", "lambda=2e-3", "T=10", "v=5", "K=3000", "grid_step=0.1"),
+    "trace-boundary": ("optimize", "virtual_block=boundary", "K=60"),
+    "trace-fine": ("optimize", "grid_step=0.025", "K=20"),
+    "trace-gridrank": ("optimize", "cdf_mode=grid-rank", "K=60"),
+    "trace-predominant": ("optimize", "history_scalar=predominant", "K=60"),
+    "trace-eta0": ("optimize", "eta_pcl=0", "K=60"),
+    "trace-eta10": ("optimize", "eta_pcl=10", "K=60"),
+    "chi-table": ("chi-table",),
+    "success-prob": ("success-prob",),
+}
+
+
+def test_outputs_match_the_sha256_manifests(tmp_path):
+    pinned = {}
+    for manifest in ("trace.sha256", "commands.sha256"):
+        for line in (Path(__file__).parent / manifest).read_text().splitlines():
+            digest, path = line.split("  ")
+            pinned[path] = digest
+    assert {path.split("/")[0] for path in pinned} == set(_PINNED_RUNS)
+    for outdir, (command, *sets) in _PINNED_RUNS.items():
+        overrides = [arg for pair in sets for arg in ("--set", pair)]
+        assert run_cli(command, "--outdir", str(tmp_path / outdir), *overrides) == 0
+    for path, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -421,6 +460,6 @@ def test_csv_float_format_round_trips(tmp_path):
     from blockaloha import run_horizon
 
     cfg = load_run_config(None, {"K": "2"})
-    trace = run_horizon(cfg.params, cfg.shape, cfg.optimizer)
-    assert float(rows[0][4]) == trace.records[0].rho  # exact round trip
-    assert float(rows[1][15]) == trace.records[1].cost
+    records = run_horizon(cfg.params, cfg.shape, cfg.optimizer)
+    assert float(rows[0][4]) == records[0].rho  # exact round trip
+    assert float(rows[1][15]) == records[1].cost

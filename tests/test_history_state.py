@@ -174,10 +174,10 @@ def test_horizon_matches_reference_loop(cdf_mode, history_scalar, virtual_block)
         history_scalar=history_scalar,
         virtual_block=virtual_block,
     )
-    trace = run_horizon(params, shape, cfg)
+    records = run_horizon(params, shape, cfg)
     reference = _reference_horizon(params, shape, cfg)
-    assert len(trace.records) == len(reference)
-    for got, (cost, cdf_curr, want) in zip(trace.records, reference):
+    assert len(records) == len(reference)
+    for got, (cost, cdf_curr, want) in zip(records, reference):
         assert got.policy == want.policy, got.k
         for name in (
             "rho", "pi", "P_O", "P_O_tilde", "chi_C", "p_scalar", "theta_curr",
@@ -204,8 +204,7 @@ def test_driver_never_builds_block_history(monkeypatch):
     monkeypatch.setattr(HistoryState, "extended", tracked)
     params = NetworkParams(lam=2e-3, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
     cfg = OptimizerConfig(K=5000, grid_step=1.0, eta_pcl=7.5)
-    trace = run_horizon(params, BlockShape(10, 5), cfg)
-    assert len(trace.records) == 5000
+    assert len(run_horizon(params, BlockShape(10, 5), cfg)) == 5000
     assert len(longest) == 5000
     assert max(longest) == 7
 
@@ -224,6 +223,10 @@ def test_extended_rejects_bad_entries(name, bad):
 def test_start_rejects_bad_settings():
     with pytest.raises(ValueError):
         HistoryState.start(0, "extend", 3.0)
+    # a 5.5-slot history once gave peak metrics (2.61, 7.25)
+    with pytest.raises(ValueError, match="must be an integer"):
+        HistoryState.start(5.5, "extend", 3.0)
+    assert HistoryState.start(np.int64(5), "extend", 3.0) == HistoryState.start(5, "extend", 3.0)
     with pytest.raises(ValueError):
         HistoryState.start(5, "nope", 3.0)
     for eta in (-1.0, math.nan, math.inf):

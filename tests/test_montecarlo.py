@@ -650,6 +650,7 @@ def test_skipped_stream_starts_after_m_raw_outputs(m):
         dict(fading="integrated", geometry="per-episode"),
         dict(disk_radius=10.0),  # inside 2^(1/3) r0 gamma^(1/3)
         dict(fading="integrated", disk_radius=10.0),
+        dict(disk_radius=1e160),  # R^2 overflows: once an OverflowError
     ],
 )
 def test_spatial_rejects_bad_arguments(bad):

@@ -43,6 +43,10 @@ def state_of(hist, cfg):
     return history_state(hist, cfg.virtual_block, cfg.eta_pcl)
 
 
+def start_of(cfg):
+    return HistoryState.start(SHAPE.T, cfg.virtual_block, cfg.eta_pcl)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(grid_step=0.3)
@@ -54,6 +58,10 @@ def test_config_validation():
         OptimizerConfig(rho2=1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(K=0)
+    for K in (2.5, 2.0):  # K=2.5 once constructed, and run_horizon raised TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            OptimizerConfig(K=K)
+    assert len(run_horizon(PARAMS, SHAPE, config(K=np.int64(2), grid_step=1.0))) == 2
     with pytest.raises(ValueError):
         OptimizerConfig(cdf_mode="nope")
     for bad in (dict(eta_curr=math.nan), dict(eta_pcl=math.nan), dict(eta_pcl=math.inf)):
@@ -112,7 +120,7 @@ def test_optimize_block_against_exhaustive_recomputation():
     cfg = config(grid_step=0.5)  # 27 candidates
     hist = BlockHistory(SHAPE.T, (0.8,), (0.6,), (0.5,))
     P_prev = 0.6
-    policy, record = optimize_block(2, P_prev, state_of(hist, cfg), PARAMS, SHAPE, cfg)
+    record = optimize_block(2, P_prev, state_of(hist, cfg), PARAMS, SHAPE, cfg)
 
     # independent exhaustive recomputation with the documented tie-break:
     # max cost, then smallest delta_B, largest delta_S, smallest delta_C
@@ -126,11 +134,7 @@ def test_optimize_block_against_exhaustive_recomputation():
     top = max(r.cost for r in recs)
     ties = [r for r in recs if r.cost >= top - 1e-12]
     chosen = min(ties, key=lambda r: (r.delta_B, -r.delta_S, r.delta_C))
-    assert (policy.delta_B, policy.delta_S, policy.delta_C) == (
-        chosen.delta_B,
-        chosen.delta_S,
-        chosen.delta_C,
-    )
+    assert record.policy == chosen.policy
     assert record.cost == pytest.approx(chosen.cost, abs=1e-12)
 
 
@@ -165,7 +169,7 @@ def test_vectorized_matches_scalar_on_random_candidates():
 def test_chosen_cost_dominates_grid():
     cfg = config(grid_step=0.25)
     hist = BlockHistory(SHAPE.T, (0.8,), (0.6,), (0.5,))
-    policy, record = optimize_block(2, 0.5, state_of(hist, cfg), PARAMS, SHAPE, cfg)
+    record = optimize_block(2, 0.5, state_of(hist, cfg), PARAMS, SHAPE, cfg)
     rng = np.random.default_rng(4)
     vals = cfg.grid_values
     for _ in range(100):
@@ -176,39 +180,38 @@ def test_chosen_cost_dominates_grid():
 
 def test_horizon_k1_equals_optimize_block():
     cfg = config(K=1)
-    trace = run_horizon(PARAMS, SHAPE, cfg)
-    _, record = optimize_block(1, 0.0, None, PARAMS, SHAPE, cfg)
-    assert len(trace.records) == 1
-    assert trace.records[0] == record
+    records = run_horizon(PARAMS, SHAPE, cfg)
+    record = optimize_block(1, 0.0, start_of(cfg), PARAMS, SHAPE, cfg)
+    assert records == [record]
 
 
 def test_horizon_trace_properties():
     cfg = config(K=25, grid_step=0.1)
-    trace = run_horizon(PARAMS, SHAPE, cfg)
-    p_o = [r.P_O for r in trace.records]
+    records = run_horizon(PARAMS, SHAPE, cfg)
+    p_o = [r.P_O for r in records]
     assert all(b >= a - 1e-15 for a, b in zip(p_o, p_o[1:]))
     assert p_o[-1] > 0.99
-    for r in trace.records:
+    for r in records:
         if r.P_O > 1 - 1e-6 and r.k > 1:
-            later = [s for s in trace.records if s.k > r.k]
+            later = [s for s in records if s.k > r.k]
             assert all(s.delta_B == 0.0 and s.delta_S == 1.0 for s in later)
             break
-    assert len(trace.records) == 25
+    assert len(records) == 25
 
 
 def test_horizon_deterministic():
     cfg = config(K=6, grid_step=0.2)
     a = run_horizon(PARAMS, SHAPE, cfg)
     b = run_horizon(PARAMS, SHAPE, cfg)
-    for ra, rb in zip(a.records, b.records):
+    for ra, rb in zip(a, b):
         assert dataclasses.asdict(ra) == dataclasses.asdict(rb)
 
 
 def test_grid_rank_mode_runs_and_orders():
     cfg = config(K=3, grid_step=0.25, cdf_mode="grid-rank")
-    trace = run_horizon(PARAMS, SHAPE, cfg)
-    assert len(trace.records) == 3
-    for r in trace.records:
+    records = run_horizon(PARAMS, SHAPE, cfg)
+    assert len(records) == 3
+    for r in records:
         assert 0.0 <= r.cdf_curr <= 1.0
     # grid-rank scores beat-fractions: a candidate with the smallest
     # theta_curr among valid ones gets the largest score factor
@@ -368,8 +371,9 @@ def test_block_recursion_rejects_values_outside_the_unit_interval(P_prev, deltas
 
 @pytest.mark.parametrize("P_prev", [1.5, -0.1, math.nan])
 def test_optimize_block_rejects_p_o_prev_outside_the_unit_interval(P_prev):
+    cfg = config(grid_step=0.5)
     with pytest.raises(ValueError, match="P_O_prev must lie in"):
-        optimize_block(1, P_prev, None, PARAMS, SHAPE, config(grid_step=0.5))
+        optimize_block(1, P_prev, start_of(cfg), PARAMS, SHAPE, cfg)
 
 
 def test_optimize_block_reads_pcl_context_once_per_block(monkeypatch):
@@ -412,19 +416,19 @@ def test_sliced_scan_equals_the_whole_grid_bitwise(
     for P_prev in (0.0, 0.37, 1.0):
         got = optimize_block(3, P_prev, state, params, shape, cfg)
         want = optimize_block_reference(3, P_prev, state, params, shape, cfg)
-        assert got[0] == want[0]
         # repr is exact for floats, tells -0.0 from 0.0 and matches NaN to NaN
-        for name, value in dataclasses.asdict(got[1]).items():
-            assert repr(value) == repr(getattr(want[1], name)), (name, P_prev)
+        for name, value in dataclasses.asdict(got).items():
+            assert repr(value) == repr(getattr(want, name)), (name, P_prev)
 
 
 def test_sliced_scan_memory_is_bounded_by_the_slice():
     # 68,921 candidates: the whole-grid scan peaks at about 18.5 MiB
     cfg = config(grid_step=0.025)
-    optimize_block(1, 0.0, None, PARAMS, SHAPE, cfg)  # first-use caches
+    state = start_of(cfg)
+    optimize_block(1, 0.0, state, PARAMS, SHAPE, cfg)  # first-use caches
     tracemalloc.start()
     try:
-        optimize_block(1, 0.0, None, PARAMS, SHAPE, cfg)
+        optimize_block(1, 0.0, state, PARAMS, SHAPE, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -436,7 +440,7 @@ def test_history_scalar_conventions():
     cfg_pred = config(K=3, grid_step=0.5, history_scalar="predominant")
     t1 = run_horizon(PARAMS, SHAPE, cfg_post)
     t2 = run_horizon(PARAMS, SHAPE, cfg_pred)
-    for r1, r2 in zip(t1.records, t2.records):
+    for r1, r2 in zip(t1, t2):
         # same chosen policy here; scalar history entries differ by convention
         d_eff = r2.delta_B + (1 - r2.delta_B) * r2.delta_S
         assert r2.p_scalar == pytest.approx(d_eff * r2.rho, abs=1e-15)
@@ -451,9 +455,9 @@ def test_evaluate_candidate_history_length_check():
 
 def test_coarsest_grid_step():
     cfg = config(K=2, grid_step=1.0)  # 8 candidates per block
-    trace = run_horizon(PARAMS, SHAPE, cfg)
-    assert len(trace.records) == 2
-    for r in trace.records:
+    records = run_horizon(PARAMS, SHAPE, cfg)
+    assert len(records) == 2
+    for r in records:
         assert r.delta_B in (0.0, 1.0)
         assert r.delta_S in (0.0, 1.0)
         assert r.delta_C in (0.0, 1.0)

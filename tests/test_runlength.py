@@ -20,6 +20,18 @@ def test_block_shape_rejects_bad_dimensions():
         BlockShape(T=3, v=0)
 
 
+@pytest.mark.parametrize("T, v", [(5.5, 2), (5, 2.5), (5.0, 2), ("5", 2), (None, 2)])
+def test_block_shape_rejects_non_integer_counts(T, v):
+    # BlockShape(5.5, 2) once constructed, and chi then failed with a TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        BlockShape(T, v)
+
+
+def test_block_shape_takes_numpy_integers():
+    shape = BlockShape(np.int64(5), np.int32(2))
+    assert chi(shape, 0.5) == chi(BlockShape(5, 2), 0.5)
+
+
 def test_chi_rejects_out_of_range_x():
     shape = BlockShape(5, 2)
     with pytest.raises(ValueError):

@@ -201,6 +201,8 @@ def test_interference_integral_where_r0_squared_overflows():
         assert interference_integral(far, backend) == math.inf
         assert slot_success_prob(far, 0.0, backend) == math.exp(-noise_exponent(far))
         assert slot_success_prob(far, 1e-4, backend) == 0.0
+    # the tail's (r0 g^(1/a))^2 overflows too: A_out is inf, not an OverflowError
+    assert interference_tail(params(r0=1e200), 1e201) == math.inf
 
 
 def test_slot_success_monotonicities():
@@ -222,6 +224,17 @@ def test_slot_success_monotonicities():
 def test_slot_success_rejects_negative_density():
     with pytest.raises(ValueError):
         slot_success_prob(params(), -1e-5)
+    # a NaN density once gave the interference-free value 0.9999999999999984
+    for backend in ("closed", "quadrature"):
+        with pytest.raises(ValueError, match="lambda_eff"):
+            slot_success_prob(params(), math.nan, backend)
+
+
+def test_default_disk_radius_rejects_negative_and_nan_density():
+    # both once gave the 5000 m cap
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="lambda_eff"):
+            default_disk_radius(bad)
 
 
 def test_default_disk_radius():
