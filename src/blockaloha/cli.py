@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,10 @@ class RunConfig:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` document; '#' starts a comment."""
     values: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -266,7 +269,7 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int):
 
     worst = 0.0
     for alpha in (2.5, 3.0, 3.5, 4.0):
-        p = NetworkParams(params.lam, alpha, params.gamma, params.xi, params.N0, params.r0)
+        p = replace(params, alpha=alpha)
         a = slot_success_prob(p, params.lam)
         b = slot_success_prob(p, params.lam, backend="quadrature")
         worst = max(worst, abs(a - b) / a)
@@ -356,9 +359,7 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int):
         (1.0, "drawn", spatial_episodes),
         (2.0, "integrated", max(1, int(_INTEGRATED_EPISODES * scale))),
     )):
-        p = NetworkParams(
-            params.lam * lam_scale, params.alpha, params.gamma, params.xi, params.N0, params.r0
-        )
+        p = replace(params, lam=params.lam * lam_scale)
         rep = simulate_spatial(
             p, full, shape, episodes, seed + 5 + i, disk_radius=_DISK_RADIUS,
             workers=workers, fading=fading,
@@ -369,24 +370,22 @@ def _validation_rows(cfg: RunConfig, scale: float, workers: int):
             rows.append(
                 _stat_row("spatial_run_freq_full_access", chi(shape, analytic), rep["run_freq"])
             )
-            bern = simulate_bernoulli(
-                (analytic,), shape, spatial_episodes, seed + 7, workers=workers
-            )
-            diff = Estimate(
-                rep["run_freq"].value - bern["run_freq_b1"].value,
-                math.hypot(rep["run_freq"].stderr, bern["run_freq_b1"].stderr),
-                spatial_episodes,
-            )
-            z = diff.z_against(0.0)
-            rows.append(
-                _Row("spatial_vs_bernoulli_run_freq", bern["run_freq_b1"].value,
-                     rep["run_freq"].value, z, "|z| < 3", abs(z) < 3.0)
-            )
+            bern = simulate_bernoulli((analytic,), shape, spatial_episodes, seed + 7,
+                                      workers=workers)
+            spatial, bernoulli = rep["run_freq"], bern["run_freq_b1"]
+            paired = Estimate(spatial.value, math.hypot(spatial.stderr, bernoulli.stderr),
+                              spatial_episodes)
+            rows.append(_stat_row("spatial_vs_bernoulli_run_freq", bernoulli.value, paired,
+                                  z_max=3))
     return rows
 
 
 def cmd_validate(cfg: RunConfig, scale: float = 1.0, workers: int = 1) -> int:
     """Analytic-vs-Monte-Carlo comparison suite; nonzero exit on any failure."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"--episodes-scale must be finite and > 0, got {scale}")
     try:
         tail = interference_tail(cfg.params, _DISK_RADIUS)
     except ValueError as exc:
@@ -419,7 +418,10 @@ def cmd_validate(cfg: RunConfig, scale: float = 1.0, workers: int = 1) -> int:
 def cmd_demo_plant(cfg: RunConfig, g_pattern: str | None = None) -> int:
     """Replay one block of the demo plant and emit the slot-by-slot trace."""
     shape = cfg.shape
-    plant = default_plant(shape.v)
+    try:
+        plant = default_plant(shape.v)
+    except ValueError as exc:
+        raise ConfigError(f"demo-plant: {exc} (the demo plant exists for v <= 8)") from exc
     if g_pattern is not None:
         if len(g_pattern) != shape.T or set(g_pattern) - {"0", "1"}:
             raise ConfigError(
@@ -520,20 +522,6 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config value (repeatable)",
-    )
-    sub.add_argument("--outdir", help="output directory (overrides config)")
-    sub.add_argument("--seed", type=int, help="random seed (overrides config)")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blockaloha",
@@ -541,27 +529,31 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_opt = sub.add_parser("optimize", help="per-block access policy optimization")
-    _add_common(p_opt)
+    def command(name: str, help: str, run) -> argparse.ArgumentParser:
+        """A subcommand with the shared options; ``run(cfg, args)`` runs it."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY=VALUE", help="override a config value (repeatable)")
+        p.add_argument("--outdir", help="output directory (overrides config)")
+        p.add_argument("--seed", type=int, help="random seed (overrides config)")
+        p.set_defaults(run=run)
+        return p
 
-    p_val = sub.add_parser("validate", help="analytic vs Monte Carlo validation suite")
-    _add_common(p_val)
-    p_val.add_argument("--workers", type=int, default=1, help="worker threads")
-    p_val.add_argument(
-        "--episodes-scale", type=float, default=1.0, help="scale all episode counts"
-    )
-
-    p_demo = sub.add_parser("demo-plant", help="slot-by-slot control loop replay")
-    _add_common(p_demo)
-    p_demo.add_argument("--G", help="success flags as a 0/1 string, e.g. 01110")
-
-    p_chi = sub.add_parser("chi-table", help="dump the run probability over a grid")
-    _add_common(p_chi)
-    p_chi.add_argument("--x-step", type=float, default=0.05)
-
-    p_succ = sub.add_parser("success-prob", help="dump slot success probability curves")
-    _add_common(p_succ)
-    p_succ.add_argument("--points", type=int, default=41)
+    command("optimize", "per-block access policy optimization", lambda cfg, _: cmd_optimize(cfg))
+    p = command("validate", "analytic vs Monte Carlo validation suite",
+                lambda cfg, args: cmd_validate(cfg, args.episodes_scale, args.workers))
+    p.add_argument("--workers", type=int, default=1, help="worker threads")
+    p.add_argument("--episodes-scale", type=float, default=1.0, help="scale all episode counts")
+    p = command("demo-plant", "slot-by-slot control loop replay",
+                lambda cfg, args: cmd_demo_plant(cfg, args.G))
+    p.add_argument("--G", help="success flags as a 0/1 string, e.g. 01110")
+    p = command("chi-table", "dump the run probability over a grid",
+                lambda cfg, args: cmd_chi_table(cfg, args.x_step))
+    p.add_argument("--x-step", type=float, default=0.05)
+    p = command("success-prob", "dump slot success probability curves",
+                lambda cfg, args: cmd_success_prob(cfg, args.points))
+    p.add_argument("--points", type=int, default=41)
 
     args = parser.parse_args(argv)
     try:
@@ -570,24 +562,7 @@ def main(argv=None) -> int:
             overrides["outdir"] = args.outdir
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
-        cfg = load_run_config(args.config, overrides)
-        if args.command == "optimize":
-            return cmd_optimize(cfg)
-        if args.command == "validate":
-            if args.workers < 1:
-                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-            if not 0.0 < args.episodes_scale < math.inf:
-                raise ConfigError(
-                    f"--episodes-scale must be finite and > 0, got {args.episodes_scale}"
-                )
-            return cmd_validate(cfg, scale=args.episodes_scale, workers=args.workers)
-        if args.command == "demo-plant":
-            return cmd_demo_plant(cfg, args.G)
-        if args.command == "chi-table":
-            return cmd_chi_table(cfg, args.x_step)
-        if args.command == "success-prob":
-            return cmd_success_prob(cfg, args.points)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(load_run_config(args.config, overrides), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -199,19 +199,18 @@ def run_block(model: PlantModel, shape, x_sensed, flags) -> BlockTrace:
     trace = BlockTrace()
     for s, g in enumerate(flags):
         if trace.controllable:
-            x_hat = model.A @ x_hat + model.B @ u_bar
-            trace.records.append(SlotRecord(s, "dummy", g, u_bar.copy(), x_hat.copy()))
+            # the actuator applies the steady-state input whatever the flag
+            x_hat = estimate_state(model, x_hat, [(u_bar, 1)])
+            trace.records.append(SlotRecord(s, "dummy", g, u_bar.copy(), x_hat))
             continue
         u = seq[pointer]
+        x_hat = estimate_state(model, x_hat, [(u, g)])
         if g:
-            x_hat = model.A @ x_hat + model.B @ u
             pointer += 1
             if pointer == model.v:
                 trace.controllable = True
                 trace.target_slot = s
-        else:
-            x_hat = model.A @ x_hat
-        trace.records.append(SlotRecord(s, "control", g, u.copy() if g else None, x_hat.copy()))
+        trace.records.append(SlotRecord(s, "control", g, u.copy() if g else None, x_hat))
         if not g:
             seq = control_sequence(model, x_hat)
             pointer = 0
@@ -223,7 +222,10 @@ def default_plant(v: int = 2) -> PlantModel:
 
     v = 2 is the double integrator, the smallest nontrivial controllable
     pair.  The target state (1, 0, ..., 0) is consistent with a zero
-    steady-state input, so the dummy phase retains it exactly.
+    steady-state input, so the dummy phase retains it exactly.  The demo
+    plant exists for v <= 8: from v = 9 on the smallest singular value of
+    its controllability matrix falls below the rank cutoff, and
+    ``PlantModel`` rejects it.
     """
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")

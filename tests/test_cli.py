@@ -39,7 +39,15 @@ def test_defaults_equal_the_library_defaults():
     assert cfg.params.r0 == inspect.signature(NetworkParams).parameters["r0"].default
 
 
-# CI's optimize runs, by output directory, and the commands pinned beside them
+# The pinned runs, by output directory: optimize at the defaults, at the
+# horizon-congested settings and once per convention flag, plus chi-table and
+# success-prob at the defaults.  benchmarks/reference/horizon-*.trace.csv.gz
+# differ from today's trace in last digits, so tests/trace.sha256 is what pins
+# its bytes.  Grid step 0.025 scans 68,921 candidates in 34 slices, and
+# grid-rank scans its whole grid in one; eta_pcl 0 keeps no pcl tail and
+# eta_pcl 10 keeps ten entries, the two ends of the scan's one history input.
+# demo-plant is not pinned: its pinv goes through LAPACK, whose last bits may
+# differ between machines.
 _PINNED_RUNS = {
     "trace-paper": ("optimize",),
     "trace-congested": ("optimize", "lambda=2e-3", "T=10", "v=5", "K=3000", "grid_step=0.1"),
@@ -168,6 +176,15 @@ def test_optimize_at_a_block_too_long_for_chi_binomials(tmp_path):
     assert 0.0 <= float(row[5]) <= 1.0  # pi
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
+    (tmp_path / "latin1.cfg").write_bytes(b"xi = 40dBm  # \xb5W\n")
+    config = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+              "not-utf8": tmp_path / "latin1.cfg"}[kind]
+    assert run_cli("optimize", "--outdir", str(tmp_path), "--config", str(config)) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_parse_config_rejects_garbage(tmp_path):
     path = tmp_path / "g.cfg"
     path.write_text("just some words\n")
@@ -274,6 +291,13 @@ def test_demo_plant_bad_pattern(tmp_path):
     assert run_cli("demo-plant", "--outdir", str(tmp_path), "--G", "01x10") == 2
 
 
+def test_demo_plant_beyond_v8_is_a_config_error(tmp_path, capsys):
+    # the demo plant's controllability matrix falls below the rank cutoff at v = 9
+    assert run_cli("demo-plant", "--outdir", str(tmp_path), "--set", "T=9", "--set", "v=8") == 0
+    assert run_cli("demo-plant", "--outdir", str(tmp_path), "--set", "T=9", "--set", "v=9") == 2
+    assert "v <= 8" in capsys.readouterr().err
+
+
 def test_demo_plant_seeded_matches_run_detector(tmp_path):
     from oracles import max_run
 
@@ -360,9 +384,13 @@ def test_validate_perturbation_fails(tmp_path, monkeypatch):
 
     stat_row = blockaloha.cli._stat_row
     monkeypatch.setattr(blockaloha.cli, "_stat_row",
-                        lambda name, analytic, est: stat_row(name, analytic * 1.05, est))
+                        lambda name, analytic, est, **kw: stat_row(name, analytic * 1.05, est,
+                                                                   **kw))
     code = run_cli("validate", "--outdir", str(tmp_path), "--episodes-scale", "0.05")
     assert code == 1
+    lines = (tmp_path / "validation.csv").read_text().splitlines()
+    passed = {l.split(",")[0]: l.split(",")[-1] for l in lines if not l.startswith("#")}
+    assert passed["spatial_vs_bernoulli_run_freq"] == "False"
 
 
 def test_validate_reads_latency_references_from_history_state(monkeypatch):

@@ -148,6 +148,24 @@ def test_run_block_flag_matches_run_detector():
         assert trace.controllable == (max_run(flags) >= 2)
 
 
+def test_run_block_records_replay_through_estimate_state():
+    # every slot's estimate is estimate_state over the (u, g) pairs so far;
+    # a dummy slot applies the steady-state input whatever its flag
+    rng = np.random.default_rng(25)
+    plants = [default_plant(2), default_plant(3)]
+    plants += [random_consistent_plant(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+               for _ in range(20)]
+    for plant in plants:
+        shape = BlockShape(max(plant.v, 7), plant.v)
+        x0 = rng.normal(size=plant.n)
+        for _ in range(10):
+            flags = (rng.random(shape.T) < rng.random()).astype(int).tolist()
+            steps = []
+            for rec in run_block(plant, shape, x0, flags).records:
+                steps.append((rec.u, 1 if rec.phase == "dummy" else rec.g))
+                assert np.array_equal(rec.x_hat, estimate_state(plant, x0, steps))
+
+
 def test_run_block_v_mismatch():
     plant = default_plant(2)
     with pytest.raises(ValueError):
