@@ -127,8 +127,9 @@ def run_probability(p, v: int) -> np.ndarray:
     non-negative.  Returns an array of shape ``p.shape[:-1]``.
     """
     p = _check_prob(p, "p")
-    if p.ndim < 1 or v < 1:
-        raise ValueError(f"p needs a slot axis and v must be >= 1, got {p.shape}, {v}")
+    _check_count(v, "run length v")
+    if p.ndim < 1:
+        raise ValueError(f"p needs a slot axis, got shape {p.shape}")
     state = np.zeros(p.shape[:-1] + (v,))
     state[..., 0] = 1.0
     hit = np.zeros(p.shape[:-1])

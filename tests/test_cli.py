@@ -39,41 +39,83 @@ def test_defaults_equal_the_library_defaults():
     assert cfg.params.r0 == inspect.signature(NetworkParams).parameters["r0"].default
 
 
-# The pinned runs, by output directory: optimize at the defaults, at the
-# horizon-congested settings and once per convention flag, plus chi-table and
-# success-prob at the defaults.  benchmarks/reference/horizon-*.trace.csv.gz
-# differ from today's trace in last digits, so tests/trace.sha256 is what pins
-# its bytes.  Grid step 0.025 scans 68,921 candidates in 34 slices, and
-# grid-rank scans its whole grid in one; eta_pcl 0 keeps no pcl tail and
-# eta_pcl 10 keeps ten entries, the two ends of the scan's one history input.
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+# Validate's CLI seeds that have a stored benchmark reference (not 5 or 11).
+_VALIDATE_SEEDS = (1, 2, 3, 4, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16)
+
+# Every pinned run, by output directory, with its full argv; this one test
+# checks every pinned output byte.  The file each run writes is pinned by its
+# sha256 in tests/trace.sha256, tests/commands.sha256 or
+# tests/validate.sha256.  optimize runs at the defaults, at the
+# horizon-congested settings and once per convention flag: grid step 0.025
+# scans 68,921 candidates in 34 slices, and grid-rank scans its whole grid in
+# one; eta_pcl 0 keeps no pcl tail and eta_pcl 10 keeps ten entries, the two
+# ends of the scan's one history input.  validate runs at each seed above at
+# one worker, at seed 1 also at two workers, at blocks of 11 and 20 slots (2
+# and 3 packed bytes per block) and with the boundary virtual block.
 # demo-plant is not pinned: its pinv goes through LAPACK, whose last bits may
 # differ between machines.
 _PINNED_RUNS = {
-    "trace-paper": ("optimize",),
-    "trace-congested": ("optimize", "lambda=2e-3", "T=10", "v=5", "K=3000", "grid_step=0.1"),
-    "trace-boundary": ("optimize", "virtual_block=boundary", "K=60"),
-    "trace-fine": ("optimize", "grid_step=0.025", "K=20"),
-    "trace-gridrank": ("optimize", "cdf_mode=grid-rank", "K=60"),
-    "trace-predominant": ("optimize", "history_scalar=predominant", "K=60"),
-    "trace-eta0": ("optimize", "eta_pcl=0", "K=60"),
-    "trace-eta10": ("optimize", "eta_pcl=10", "K=60"),
-    "chi-table": ("chi-table",),
-    "success-prob": ("success-prob",),
+    "trace-paper": "optimize",
+    "trace-congested": "optimize --set lambda=2e-3 --set T=10 --set v=5 --set K=3000"
+                       " --set grid_step=0.1",
+    "trace-boundary": "optimize --set virtual_block=boundary --set K=60",
+    "trace-fine": "optimize --set grid_step=0.025 --set K=20",
+    "trace-gridrank": "optimize --set cdf_mode=grid-rank --set K=60",
+    "trace-predominant": "optimize --set history_scalar=predominant --set K=60",
+    "trace-eta0": "optimize --set eta_pcl=0 --set K=60",
+    "trace-eta10": "optimize --set eta_pcl=10 --set K=60",
+    "chi-table": "chi-table",
+    "success-prob": "success-prob",
+    **{f"val-s{seed}-w1": f"validate --seed {seed} --workers 1" for seed in _VALIDATE_SEEDS},
+    "val-s1-w2": "validate --seed 1 --workers 2",
+    "val-s1-T11-v4": "validate --seed 1 --set T=11 --set v=4",
+    "val-s1-T20-v6": "validate --seed 1 --set T=20 --set v=6",
+    "val-s1-boundary": "validate --seed 1 --set virtual_block=boundary",
+}
+
+# The benchmark's stored reference of each pinned output that has one.  Its
+# row check is what decides the benchmark's pass_share: labels exact, the
+# compared numbers within 1e-9, every validation row passed.  The references
+# differ from today's outputs in last digits of the trace, in the four spatial
+# rows' Monte Carlo fields and in the quadrature row's empirical field, so the
+# hashes pin the bytes.
+_BENCHMARK_REFERENCES = {
+    "trace-paper": "horizon-paper.trace.csv.gz",
+    "trace-congested": "horizon-congested.trace.csv.gz",
+    **{f"val-s{seed}-w1": f"validate.seed{seed}.csv.gz" for seed in _VALIDATE_SEEDS},
+    "val-s1-w2": "validate.seed1.csv.gz",
 }
 
 
-def test_outputs_match_the_sha256_manifests(tmp_path):
+def _manifest(name):
+    """{output path: sha256} of one tests/<name> manifest."""
+    lines = (Path(__file__).parent / name).read_text().splitlines()
+    return {path: digest for digest, path in (line.split("  ") for line in lines)}
+
+
+def test_outputs_match_the_sha256_manifests(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import checks
+
     pinned = {}
-    for manifest in ("trace.sha256", "commands.sha256"):
-        for line in (Path(__file__).parent / manifest).read_text().splitlines():
-            digest, path = line.split("  ")
-            pinned[path] = digest
-    assert {path.split("/")[0] for path in pinned} == set(_PINNED_RUNS)
-    for outdir, (command, *sets) in _PINNED_RUNS.items():
-        overrides = [arg for pair in sets for arg in ("--set", pair)]
-        assert run_cli(command, "--outdir", str(tmp_path / outdir), *overrides) == 0
+    for name in ("trace.sha256", "commands.sha256", "validate.sha256"):
+        pinned.update(_manifest(name))
+    assert len(pinned) == len(_PINNED_RUNS)
+    outputs = {path.split("/")[0]: path for path in pinned}
+    assert outputs.keys() == _PINNED_RUNS.keys()
+    references = {p.name for p in (BENCHMARKS / "reference").iterdir()}
+    assert set(_BENCHMARK_REFERENCES.values()) == references
+    for outdir, argv in _PINNED_RUNS.items():
+        assert run_cli(*argv.split(), "--outdir", str(tmp_path / outdir)) == 0, outdir
     for path, digest in pinned.items():
         assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
+    for outdir, reference in _BENCHMARK_REFERENCES.items():
+        path = outputs[outdir]
+        result = checks.check_output(path.split("/")[1], (tmp_path / path).read_bytes(),
+                                     checks.read_reference(BENCHMARKS / "reference" / reference))
+        assert result.checked > 0 and result.failed == 0, (path, result)
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -265,6 +307,25 @@ def test_cli_commands_run_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     meta = json.loads((tmp_path / "validation.meta.json").read_text())
     assert set(meta["versions"]) == {"blockaloha", "numpy"}
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # python -m blockaloha.cli: its __main__ guard passes main's exit code on
+    src = str(Path(blockaloha.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "blockaloha.cli", *args, "--outdir",
+                               str(tmp_path)], env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    proc = module("chi-table")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((tmp_path / "chi_table.csv").read_bytes()).hexdigest()
+    assert digest == _manifest("commands.sha256")["chi-table/chi_table.csv"]
+    proc = module("chi-table", "--set", "T=0")
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr
 
 
 def test_demo_plant_pattern(tmp_path):

@@ -92,18 +92,6 @@ def test_zero_p_in_past_history_is_fine():
     assert math.isfinite(val)
 
 
-def test_boundary_mode_invariants():
-    # with the proper distribution over gaps, age >= T + 1 and latency >= 1
-    rng = np.random.default_rng(11)
-    for _ in range(150):
-        k = int(rng.integers(1, 12))
-        T = int(rng.integers(1, 7))
-        p = tuple(rng.uniform(0.02, 1.0, size=k))
-        h = hist_of(p, T=T)
-        assert expected_paoi(h, "boundary") >= T + 1 - 1e-9
-        assert expected_peak_latency(h, "boundary") >= 1 - 1e-9
-
-
 def test_modes_differ_and_difference_shrinks_with_k():
     p = (0.5,) * 10
     gaps = []

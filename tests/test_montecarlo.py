@@ -12,7 +12,9 @@ from blockaloha import (
     BlockHistory,
     BlockShape,
     Estimate,
+    HistoryState,
     NetworkParams,
+    block_recursion,
     chi,
     episode_rng,
     expected_paoi,
@@ -177,6 +179,32 @@ def test_policy_chain_pcl_matches_gap_formula_in_steady_regime():
     assert_within(rep["pcl_mean"], expected_pcl(h))
     pmf = pcl_pmf(h)
     assert_within(rep["pcl_pmf_1"], pmf[0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4, Finding 1: the pcl law mixes the pre- and "
+                   "post-controllability regimes of a block")
+def test_policy_chain_pcl_matches_history_state_across_regimes():
+    # (0.15, 0.3, 0.5) x 8 at the defaults, eta_pcl = 1: a controller that
+    # has never been controllable sends at rho in a block it accesses whole
+    # (probability 0.15) and at 0.3 rho otherwise, one that has at 0.5 rho,
+    # so a block's two regimes succeed at different rates.  The law gives
+    # mean 1.7620 and P(tau = 1) 0.5640 at block 8; the chain gives
+    # 1.9119 +- 0.0045 (z = +33.5) and 0.5514 +- 0.0015 (z = -8.4).
+    shape, policy, K = BlockShape(5, 2), AccessPolicy(0.15, 0.3, 0.5), 8
+    state = HistoryState.start(shape.T, "extend", 1.0)
+    P_O, rho_seq = 0.0, []
+    for k in range(K):
+        block = {name: float(x) for name, x in block_recursion(
+            P_O, PARAMS, shape, policy.delta_B, policy.delta_S, policy.delta_C).items()}
+        P_O = block["P_O"]
+        rho_seq.append(block["rho"])
+        if k < K - 1:
+            state = state.extended(block["rho"], block["P_O_tilde"], block["chi_C"])
+    cdf, mean = state.pcl_context()  # blocks 1..7, read at block 8
+    rep = simulate_policy_chain(shape, [policy] * K, rho_seq, 200_000, seed=5)
+    assert abs(rep["pcl_mean"].z_against(mean)) < 3.0
+    assert abs(rep["pcl_pmf_1"].z_against(cdf)) < 3.0
 
 
 def test_spatial_slot_rate_matches_closed_form():

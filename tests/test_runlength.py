@@ -211,7 +211,8 @@ def test_run_probability_with_equal_slots_is_chi():
 
 
 @pytest.mark.parametrize("p, v", [([0.5, math.nan], 1), ([0.5, 1.2], 1), ([-0.1], 1),
-                                  ([0.5, 0.5], 0), (0.5, 1)])
+                                  ([0.5, 0.5], 0), (0.5, 1), ([0.5, 0.5], 2.5),
+                                  ([0.5, 0.5], 2.0), ([0.5, 0.5], "2"), ([0.5, 0.5], None)])
 def test_run_probability_rejects_bad_input(p, v):
     with pytest.raises(ValueError):
         run_probability(p, v)
