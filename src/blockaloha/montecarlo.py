@@ -8,8 +8,8 @@ probability given its interferer positions; one sampler draws either and
 one body reduces it to the slot, run and block statistics.  All estimators
 are seed-deterministic and independent of the worker count: episodes are
 split into fixed-size batches, each batch gets its own counter-based random
-stream keyed by (seed, batch index), and sufficient statistics are merged
-in batch order.
+stream keyed by (seed, batch index), and every statistic of every tier is one
+mergeable sample summary, ``_Sample``, merged in batch order.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .latency import VIRTUAL_BLOCK_MODES
-from .runlength import BlockShape, _check_prob, run_probability
+from .runlength import BlockShape, _check_count, _check_prob, run_probability
 from .spatial import (
     AccessPolicy,
     NetworkParams,
@@ -75,17 +76,18 @@ class Estimate:
 
 
 def episode_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for one batch: key = (seed, stream)."""
+    """Counter-based generator for one batch: key = (seed, stream), seed in [0, 2^64)."""
+    if not hasattr(type(seed), "__index__") or not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(stream)))
 
 
-def _run_batches(seed, episodes, batch_size, workers, batch_fn):
-    """Map batch_fn(rng, n) over a fixed batch plan (sizes independent of the
-    worker count), merging stats in batch order."""
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
-    if batch_size < 1 or workers < 1:
-        raise ValueError(f"batch_size and workers must be >= 1, got {batch_size}, {workers}")
+def _run_batches(seed, episodes, batch_size, workers, batch_fn) -> dict[str, Estimate]:
+    """Map batch_fn(rng, n) -> {key: _Sample} over a fixed batch plan (sizes
+    independent of the worker count), merging the samples in batch order."""
+    _check_count(episodes, "episodes")
+    _check_count(batch_size, "batch_size")
+    _check_count(workers, "workers")
     starts = range(0, episodes, batch_size)
     jobs = [(episode_rng(seed, i), min(batch_size, episodes - lo)) for i, lo in enumerate(starts)]
     if workers > 1 and len(jobs) > 1:
@@ -93,7 +95,8 @@ def _run_batches(seed, episodes, batch_size, workers, batch_fn):
             results = list(pool.map(lambda j: batch_fn(*j), jobs))
     else:
         results = [batch_fn(*j) for j in jobs]
-    return functools.reduce(_accumulate, results)
+    merged = functools.reduce(_accumulate, results)
+    return {key: s.estimate() for key, s in merged.items()}
 
 
 def _accumulate(total: dict, part: dict) -> dict:
@@ -103,78 +106,75 @@ def _accumulate(total: dict, part: dict) -> dict:
     return total
 
 
-def _moments(x: np.ndarray) -> np.ndarray:
-    """(sum, sum of squares) of a float sample; batches add them as one pair."""
-    return np.array([x.sum(), (x**2).sum()])
+@dataclass(frozen=True)
+class _Sample:
+    """Summary of one sample: its count, total, squared deviations from its
+    mean (m2), least and greatest value, and whether every value is 0 or 1.
 
-
-def _mean_estimate(moments, n) -> Estimate:
-    total, total_sq = moments
-    n = int(n)
-    if n == 0:
-        return Estimate(math.nan, math.nan, 0)
-    mean = total / n
-    if n == 1:
-        return Estimate(mean, math.nan, 1)
-    var = max(0.0, (total_sq - n * mean**2) / (n - 1))
-    return Estimate(mean, math.sqrt(var / n), n)
-
-
-def _centered(x: np.ndarray) -> list:
-    """[(count, sum, sum of squared deviations from the mean, min, max, whether
-    every value is 0 or 1)] of a float sample; batches concatenate these lists."""
-    binary = bool(((x == 0.0) | (x == 1.0)).all())
-    return [(x.size, x.sum(), ((x - x.mean()) ** 2).sum(), x.min(), x.max(), binary)]
-
-
-def _pooled_estimate(parts: list) -> Estimate:
-    """Mean and standard error of the samples behind ``_centered`` parts.
-
-    A 0/1 sample is a rate, with the binomial ``_rate_estimate``.  Others
-    pool their parts' squared deviations (Chan, Golub & LeVeque 1983), so a
-    nearly constant sample keeps the variance that ``_moments`` loses.  An
-    exactly constant one (min = max) has stderr 0, not the rounding noise of
-    its parts' means, so ``Estimate.z_against`` scores it binomially.
+    ``+`` merges two summaries by Chan, Golub & LeVeque (1983), so chunks and
+    batches fold in O(1) memory and a nearly constant sample keeps the
+    variance that a sum of squares would lose.
     """
-    counts, totals, _, lows, highs, binary = zip(*parts)
-    n, total = sum(counts), sum(totals)
-    if all(binary):
-        return _rate_estimate(total, n)
-    mean = total / n
-    if n == 1:
-        return Estimate(mean, math.nan, 1)
-    if min(lows) == max(highs):
-        return Estimate(mean, 0.0, n)
-    sq_dev = sum(ss + count * (t / count - mean) ** 2 for count, t, ss, *_ in parts)
-    return Estimate(mean, math.sqrt(sq_dev / (n - 1) / n), n)
+
+    n: int = 0
+    total: float = 0
+    m2: float = 0.0
+    lo: float = math.inf
+    hi: float = -math.inf
+    binary: bool = True
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> _Sample:
+        """Summary of an array; a bool array is a rate, counted without a float pass."""
+        if x.size == 0:
+            return cls()
+        if x.dtype == bool:
+            return cls.rate(int(np.count_nonzero(x)), x.size)
+        total = int(x.sum()) if x.dtype.kind in "iu" else x.sum()
+        binary = bool(((x == 0) | (x == 1)).all())
+        return cls(x.size, total, float(((x - x.mean()) ** 2).sum()), x.min(), x.max(), binary)
+
+    @classmethod
+    def rate(cls, count, n) -> _Sample:
+        """Summary of ``count`` ones among ``n`` 0/1 values."""
+        count, n = int(count), int(n)
+        if n == 0:
+            return cls()
+        return cls(n, count, count * (n - count) / n, float(count == n), float(count > 0))
+
+    def __add__(self, other: _Sample) -> _Sample:
+        if not (self.n and other.n):
+            return self if self.n else other
+        n, cross = self.n + other.n, self.n * other.n
+        delta = (other.total * self.n - self.total * other.n) / cross  # one rounding for ints
+        m2 = self.m2 + other.m2 + delta * delta * (cross / n)
+        return _Sample(n, self.total + other.total, m2, min(self.lo, other.lo),
+                       max(self.hi, other.hi), self.binary and other.binary)
+
+    def estimate(self) -> Estimate:
+        """Mean and standard error: binomial for a 0/1 sample, 0 for a constant one."""
+        if self.n == 0:
+            return Estimate(math.nan, math.nan, 0)
+        mean = self.total / self.n
+        if self.binary:
+            stderr = math.sqrt(mean * (1.0 - mean) / self.n)
+        elif self.n == 1:
+            stderr = math.nan
+        elif self.lo == self.hi:
+            stderr = 0.0
+        else:
+            stderr = math.sqrt(self.m2 / (self.n - 1) / self.n)
+        return Estimate(mean, stderr, self.n)
 
 
-def _rate_estimate(count, n) -> Estimate:
-    n = int(n)
-    if n == 0:
-        return Estimate(math.nan, math.nan, 0)
-    p = count / n
-    return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
-
-
-def _gap_stats(last: np.ndarray, ctrl: np.ndarray, k: int) -> dict:
-    """Gap tau = k - last at the final block k over the episodes where it is
-    controllable (``last``: latest earlier controllable block, 0 if none)."""
+def _gap_stats(last: np.ndarray, ctrl: np.ndarray, k: int) -> dict[str, _Sample]:
+    """``pcl_mean`` and ``pcl_pmf_1..k`` of the gap tau = k - last at the final
+    block k over the episodes where it is controllable (``last``: latest
+    earlier controllable block, 0 if none)."""
     tau = (k - last)[ctrl]
-    return {
-        "tau_cnt": np.bincount(tau, minlength=k + 1)[1:].astype(float),
-        "n_ctrl": float(ctrl.sum()),
-        "tau": _moments(tau.astype(float)),
-    }
-
-
-def _gap_estimates(stats: dict, k: int) -> dict[str, Estimate]:
-    """``pcl_mean`` and ``pcl_pmf_1..k`` from the merged ``_gap_stats``."""
-    n_ctrl = stats["n_ctrl"]
-    out = {"pcl_mean": _mean_estimate(stats["tau"], n_ctrl)}
-    for tau in range(1, k + 1):
-        out[f"pcl_pmf_{tau}"] = _rate_estimate(stats["tau_cnt"][tau - 1], n_ctrl)
-    return out
+    counts = np.bincount(tau, minlength=k + 1)
+    pmf = {f"pcl_pmf_{t}": _Sample.rate(counts[t], tau.size) for t in range(1, k + 1)}
+    return {"pcl_mean": _Sample.of(tau), **pmf}
 
 
 @functools.cache
@@ -233,7 +233,7 @@ def simulate_bernoulli(
     of whole episodes of about ``_FADING_CHUNK`` slots, reading block 0 from
     a view of the stream skipped past blocks 1..k, so its memory does not
     grow with k; one ``_block_stats`` call reduces blocks 0..k, block j as
-    row j, and the statistics are integer sums, exact in any grouping.
+    row j, and the chunks fold into integer counts and ``_Sample`` means.
     """
     p = _check_prob(p_seq, "p_seq")
     if p.ndim != 1 or p.size == 0:
@@ -259,39 +259,31 @@ def simulate_bernoulli(
             np.copyto(kappa, k - j, where=hit)
             np.copyto(w_prev, T - 1 - last[j], where=hit)
 
-        L = T * (kappa - 1) + w_prev + first[k] + 1
-        D = kappa * T + first[k] + 1
-        Lz = L[zk].astype(float)
-        Dz = D[zk].astype(float)
+        L = (T * (kappa - 1) + w_prev + first[k] + 1)[zk]
+        D = (kappa * T + first[k] + 1)[zk]
         return {
-            "slot_cnt": ones[1:].sum(axis=1).astype(float),
-            "z_cnt": (ones[1:] > 0).sum(axis=1).astype(float),
-            "run_cnt": (longest[1:] >= v).sum(axis=1).astype(float),
-            "n": float(n),
-            "n_zk": float(zk.sum()),
-            "L": _moments(Lz),
-            "D": _moments(Dz),
-            "diff": _moments(Dz - Lz),
+            "slots": ones[1:].sum(axis=1),
+            "successes": (ones[1:] > 0).sum(axis=1),
+            "runs": (longest[1:] >= v).sum(axis=1),
+            "peak_latency": _Sample.of(L),
+            "paoi": _Sample.of(D),
+            "paoi_minus_pl": _Sample.of(D - L),
         }
 
     def batch(rng, n):
         block0_rng = _skipped(rng, n * k * T) if virtual_block == "extend" else None
         step = max(1, _FADING_CHUNK // (k * T))
         parts = (chunk(rng, block0_rng, min(step, n - lo)) for lo in range(0, n, step))
-        return functools.reduce(_accumulate, parts)
+        counts = functools.reduce(_accumulate, parts)
+        slots, successes, runs = (counts.pop(key) for key in ("slots", "successes", "runs"))
+        rates = {}
+        for i in range(k):
+            rates[f"slot_rate_b{i + 1}"] = _Sample.rate(slots[i], n * T)
+            rates[f"block_success_b{i + 1}"] = _Sample.rate(successes[i], n)
+            rates[f"run_freq_b{i + 1}"] = _Sample.rate(runs[i], n)
+        return {**rates, **counts}
 
-    stats = _run_batches(seed, episodes, batch_size, workers, batch)
-    n = stats["n"]
-    report = {}
-    for i in range(k):
-        report[f"slot_rate_b{i + 1}"] = _rate_estimate(stats["slot_cnt"][i], n * T)
-        report[f"block_success_b{i + 1}"] = _rate_estimate(stats["z_cnt"][i], n)
-        report[f"run_freq_b{i + 1}"] = _rate_estimate(stats["run_cnt"][i], n)
-    nz = stats["n_zk"]
-    report["peak_latency"] = _mean_estimate(stats["L"], nz)
-    report["paoi"] = _mean_estimate(stats["D"], nz)
-    report["paoi_minus_pl"] = _mean_estimate(stats["diff"], nz)
-    return report
+    return _run_batches(seed, episodes, batch_size, workers, batch)
 
 
 def _skipped(rng, m: int) -> np.random.Generator:
@@ -458,13 +450,12 @@ def simulate_spatial(
     def batch(rng, n):
         p = _slot_probs(rng, n, T, mean_pts, disk_radius, params, geometry, fading, outer)
         return {
-            "slot_rate": _centered(p.mean(axis=1) if geometry == "per-episode" else p),
-            "run_freq": _centered(run_probability(p, v)),
-            "block_success": _centered(1.0 - np.prod(1.0 - p, axis=1)),
+            "slot_rate": _Sample.of(p.mean(axis=1) if geometry == "per-episode" else p),
+            "run_freq": _Sample.of(run_probability(p, v)),
+            "block_success": _Sample.of(1.0 - np.prod(1.0 - p, axis=1)),
         }
 
-    stats = _run_batches(seed, episodes, batch_size, workers, batch)
-    return {key: _pooled_estimate(parts) for key, parts in stats.items()}
+    return _run_batches(seed, episodes, batch_size, workers, batch)
 
 
 def simulate_renewal_pcl(
@@ -496,7 +487,7 @@ def simulate_renewal_pcl(
                 last = np.where(ctrl, i + 1, last)
         return _gap_stats(last, ctrl, k)
 
-    return _gap_estimates(_run_batches(seed, episodes, batch_size, workers, batch), k)
+    return _run_batches(seed, episodes, batch_size, workers, batch)
 
 
 def simulate_policy_chain(
@@ -520,17 +511,14 @@ def simulate_policy_chain(
     """
     rho = _check_prob(rho_seq, "rho_seq")
     policies = list(policies)
-    if len(policies) != rho.size or rho.size == 0:
-        raise ValueError("policies and rho_seq must have equal nonzero length")
+    if rho.ndim != 1 or len(policies) != rho.size or rho.size == 0:
+        raise ValueError("policies and rho_seq must be of equal nonzero length, rho_seq 1-D")
     K, T, v = rho.size, shape.T, shape.v
 
     def batch(rng, n):
         ever = np.zeros(n, dtype=bool)
         last = np.zeros(n, dtype=np.int64)
-        first_cnt = np.zeros(K)
-        notyet_cnt = np.zeros(K)
-        ever_cnt = np.zeros(K)
-        inst_cnt = np.zeros(K)
+        rates = {}
         for i, pol in enumerate(policies):
             pre = ~ever
             is_block = rng.random(n) < pol.delta_B
@@ -540,27 +528,12 @@ def simulate_policy_chain(
                 pol.delta_C * rho[i],
             )
             ctrl = _block_stats(rng.random((n, T)) < p_slot[:, None])[3] >= v
-            first_cnt[i] = (pre & ctrl).sum()
-            notyet_cnt[i] = pre.sum()
-            inst_cnt[i] = ctrl.sum()
+            rates[f"pi_b{i + 1}"] = _Sample.of(ctrl[pre])
             ever |= ctrl
-            ever_cnt[i] = ever.sum()
+            rates[f"P_O_b{i + 1}"] = _Sample.of(ever)
+            rates[f"P_tilde_b{i + 1}"] = _Sample.of(ctrl)
             if i < K - 1:
                 last = np.where(ctrl, i + 1, last)
-        return {
-            "first_cnt": first_cnt,
-            "notyet_cnt": notyet_cnt,
-            "ever_cnt": ever_cnt,
-            "inst_cnt": inst_cnt,
-            "n": float(n),
-            **_gap_stats(last, ctrl, K),
-        }
+        return {**rates, **_gap_stats(last, ctrl, K)}
 
-    stats = _run_batches(seed, episodes, batch_size, workers, batch)
-    n = stats["n"]
-    report = {}
-    for i in range(K):
-        report[f"pi_b{i + 1}"] = _rate_estimate(stats["first_cnt"][i], stats["notyet_cnt"][i])
-        report[f"P_O_b{i + 1}"] = _rate_estimate(stats["ever_cnt"][i], n)
-        report[f"P_tilde_b{i + 1}"] = _rate_estimate(stats["inst_cnt"][i], n)
-    return {**report, **_gap_estimates(stats, K)}
+    return _run_batches(seed, episodes, batch_size, workers, batch)

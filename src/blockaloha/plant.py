@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .runlength import _check_count
+
 __all__ = [
     "PlantModel",
     "SlotRecord",
@@ -80,8 +82,7 @@ class PlantModel:
             raise ValueError(f"B must have {n} rows, got {B.shape}")
         if x_des.shape != (n,):
             raise ValueError(f"x_des must have length {n}")
-        if self.v < 1:
-            raise ValueError(f"controllability index v must be >= 1, got {self.v}")
+        _check_count(self.v, "controllability index v")
         psi = controllability_matrix(A, B, self.v)
         if not _full_row_rank(psi):
             raise ValueError(
@@ -227,8 +228,7 @@ def default_plant(v: int = 2) -> PlantModel:
     its controllability matrix falls below the rank cutoff, and
     ``PlantModel`` rejects it.
     """
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    _check_count(v, "v")
     A = np.eye(v) + 0.1 * np.eye(v, k=1)
     B = np.zeros((v, 1))
     B[-1, 0] = 1.0

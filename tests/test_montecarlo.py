@@ -1,7 +1,10 @@
+import functools
 import itertools
 import json
 import math
+import operator
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from blockaloha import (
 )
 from blockaloha.montecarlo import (
     _GAIN_CAP,
+    _Sample,
     _block_stats,
     _interferer_gains,
     _skipped,
@@ -297,6 +301,62 @@ def test_spatial_per_episode_slot_rate_stderr_is_calibrated():
     assert 0.8 <= ratio <= 1.25, ratio
 
 
+def test_sample_folds_chunks_like_one_pass_property():
+    # integer totals are exact, so a folded summary has the one-pass value;
+    # its standard error stays within 1e-13 of the exact one even for means
+    # of 1e5: on the example below the sum-of-squares path is 2e-3 off, and a
+    # merge that subtracts the two rounded means 5e-13
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        kind=st.sampled_from(["rate", "integer", "constant"]),
+        n=st.integers(0, 200_000),
+        base=st.integers(2, 100_000),
+        spread=st.integers(1, 1_000),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(100, 200_000),
+        cuts=st.lists(st.integers(0, 200_000), max_size=8),
+    )
+    # the Bernoulli tier's 4,369-value chunks of a nearly constant sample
+    @hypothesis.example(kind="integer", n=200_000, base=100_000, spread=1, share=1e-3, seed=0,
+                        size=4_369, cuts=[0, 0])
+    def agree(kind, n, base, spread, share, seed, size, cuts):
+        rng = np.random.default_rng(seed)
+        hit = rng.random(n) < share
+        x = {"rate": hit, "integer": base + hit * rng.integers(0, spread + 1, n),
+             "constant": np.full(n, base / spread)}[kind]  # 1.0 when base == spread
+        chunks = np.split(x, sorted([*range(size, n, size), *(c % (n + 1) for c in cuts)]))
+        folded = functools.reduce(operator.add, map(_Sample.of, chunks)).estimate()
+        whole = _Sample.of(x).estimate()
+        assert folded.n == whole.n == n
+        if n == 0:
+            assert math.isnan(folded.value) and math.isnan(folded.stderr)
+        elif kind == "constant":  # its chunks' means differ in the last bits, its stderr not
+            assert folded.value == pytest.approx(base / spread, rel=1e-12)  # 2,000 float totals
+            if n > 1 or base == spread:
+                assert folded.stderr == 0.0
+            else:
+                assert math.isnan(folded.stderr)
+        else:
+            assert folded.value == whole.value == int(x.sum()) / n
+            if kind == "rate":  # the binomial standard error, also of the same 0/1 floats
+                p = folded.value
+                assert folded.stderr == whole.stderr == math.sqrt(p * (1 - p) / n)
+                assert _Sample.of(x.astype(float)).estimate() == whole
+            elif n > 1:
+                total, total_sq = int(x.sum()), int((x * x).sum())  # < 2^63: exact
+                exact = math.sqrt(Fraction(n * total_sq - total**2, n * n * (n - 1)))
+                for est in (folded, whole):
+                    assert abs(est.stderr - exact) <= 1e-13 * exact, (est, exact)
+            else:  # one value, not 0 or 1: no spread to estimate
+                assert math.isnan(folded.stderr)
+
+    agree()
+
+
 def test_z_against_scores_a_constant_sample_against_the_reference_spread():
     # zero stderr and 0 < ref < 1: the score uses sqrt(ref (1 - ref) / n)
     assert Estimate(1.0, 0.0, 1000).z_against(0.99) > 3.0
@@ -525,20 +585,29 @@ def test_bernoulli_batch_peak_memory_does_not_grow_with_blocks():
     assert peaks[300] < 1.5 * peaks[3], peaks
 
 
-def test_bernoulli_batch_peak_memory_does_not_grow_with_block_bytes():
+def test_bernoulli_batch_peak_memory_does_not_grow_with_block_bytes(monkeypatch):
     # T=40 packs five bytes per block and walks them one at a time, so a
     # chunk's state stays O(chunk), not O(T x chunk): the peak grows neither
     # with the blocks nor past the one-byte T=5 peak
-    peaks = {}
-    for T, k in ((5, 3), (40, 3), (40, 300)):
+    import blockaloha.montecarlo
+
+    def peak(T, k, episodes):
         tracemalloc.start()
         try:
-            simulate_bernoulli((0.5,) * k, BlockShape(T, 2), 5_000, 3, batch_size=5_000)
-            _, peaks[T, k] = tracemalloc.get_traced_memory()
+            simulate_bernoulli((0.5,) * k, BlockShape(T, 2), episodes, 3, batch_size=episodes)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    peaks = {(T, k): peak(T, k, episodes)
+             for T, k, episodes in ((5, 3, 5_000), (40, 3, 5_000), (40, 300, 250))}
     assert peaks[40, 300] < 1.5 * peaks[40, 3], peaks
     assert peaks[40, 3] < 1.5 * peaks[5, 3], peaks
+    # each chunk folds into the batch's summaries as it ends: at four episodes
+    # per chunk, 200 chunks peak no higher than 2
+    monkeypatch.setattr(blockaloha.montecarlo, "_FADING_CHUNK", 4 * 3 * 40)
+    chunks = {episodes: peak(40, 3, episodes) for episodes in (8, 800)}
+    assert chunks[800] < 1.5 * chunks[8], chunks
 
 
 def assert_block_stats(bits, v):
@@ -679,32 +748,53 @@ def test_skipped_stream_starts_after_m_raw_outputs(m):
         dict(disk_radius=10.0),  # inside 2^(1/3) r0 gamma^(1/3)
         dict(fading="integrated", disk_radius=10.0),
         dict(disk_radius=1e160),  # R^2 overflows: once an OverflowError
+        # counts are integers >= 1 and seeds integers in [0, 2^64), checked
+        # before a batch runs: 1.5 ran seed 1, and range() raised TypeError
+        dict(seed=1.5),
+        dict(seed=-1),
+        dict(seed=2**64),
+        dict(seed="1"),
+        dict(workers=1.5),
+        dict(episodes=2.5),
+        dict(batch_size=2.5),
+        dict(episodes=0),
     ],
 )
 def test_spatial_rejects_bad_arguments(bad):
     with pytest.raises(ValueError):
-        simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), BlockShape(3, 1), 10, seed=1,
-                         **bad)
+        simulate_spatial(PARAMS, AccessPolicy(1.0, 0.0, 0.0), BlockShape(3, 1),
+                         **{"episodes": 10, "seed": 1, **bad})
 
 
 CHAIN = (BlockShape(3, 1), [AccessPolicy(1.0, 0.0, 0.0)] * 2)
 
 
 @pytest.mark.parametrize(
-    "tier, args",
+    "tier, args, kw",
     [
-        pytest.param(simulate_bernoulli, ([0.5, math.nan], BlockShape(3, 1)), id="bern-nan"),
-        pytest.param(simulate_renewal_pcl, ([0.5, 1.7], [0.2, 0.3]), id="renewal-above-1"),
-        pytest.param(simulate_renewal_pcl, ([0.5, 0.7], [0.2, -0.3]), id="renewal-negative"),
-        pytest.param(simulate_renewal_pcl, ([0.5, 0.7], [math.nan, 0.3]), id="renewal-nan"),
-        pytest.param(simulate_policy_chain, (*CHAIN, [0.5, math.nan]), id="chain-nan"),
-        pytest.param(simulate_policy_chain, (*CHAIN, [0.5, 1.2]), id="chain-above-1"),
-        pytest.param(simulate_policy_chain, (*CHAIN, [-0.1, 0.5]), id="chain-negative"),
+        pytest.param(simulate_bernoulli, ([0.5, math.nan], BlockShape(3, 1)), {}, id="bern-nan"),
+        pytest.param(simulate_renewal_pcl, ([0.5, 1.7], [0.2, 0.3]), {}, id="renewal-above-1"),
+        pytest.param(simulate_renewal_pcl, ([0.5, 0.7], [0.2, -0.3]), {}, id="renewal-negative"),
+        pytest.param(simulate_renewal_pcl, ([0.5, 0.7], [math.nan, 0.3]), {}, id="renewal-nan"),
+        pytest.param(simulate_policy_chain, (*CHAIN, [0.5, math.nan]), {}, id="chain-nan"),
+        pytest.param(simulate_policy_chain, (*CHAIN, [0.5, 1.2]), {}, id="chain-above-1"),
+        pytest.param(simulate_policy_chain, (*CHAIN, [-0.1, 0.5]), {}, id="chain-negative"),
+        # every tier takes a 1-D probability sequence; [[0.5], [0.5]] ran one policy per row
+        pytest.param(simulate_policy_chain, (*CHAIN, [[0.5], [0.5]]), {}, id="chain-2d"),
+        # seed 1.5 ran seed 1's streams; counts that are not integers are ValueErrors
+        pytest.param(simulate_bernoulli, ([0.5], BlockShape(5, 2)), dict(seed=1.5),
+                     id="bern-seed-float"),
+        pytest.param(simulate_bernoulli, ([0.5], BlockShape(5, 2)), dict(workers=1.5),
+                     id="bern-workers-float"),
+        pytest.param(simulate_renewal_pcl, ([0.5], [0.5]), dict(episodes=2.5),
+                     id="renewal-episodes-float"),
+        pytest.param(simulate_policy_chain, (*CHAIN, [0.5, 0.5]), dict(batch_size=2.5),
+                     id="chain-batch-size-float"),
     ],
 )
-def test_tiers_reject_bad_probabilities(tier, args):
+def test_tiers_reject_bad_probabilities(tier, args, kw):
     with pytest.raises(ValueError):
-        tier(*args, episodes=10, seed=1)
+        tier(*args, **{"episodes": 10, "seed": 1, **kw})
 
 
 def test_bernoulli_reproduces_spatial_block_statistics():

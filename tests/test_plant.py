@@ -42,6 +42,12 @@ def test_rank_deficient_pair_rejected():
     with pytest.raises(ValueError):
         # double integrator needs two steps
         PlantModel(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.0], [1.0]], x_des=[0, 0], v=1)
+    # a controllability index that is not an integer >= 1 is a ValueError, as in BlockShape
+    for v in (2.5, 0, "2", None):
+        with pytest.raises(ValueError):
+            PlantModel(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.0], [1.0]], x_des=[0, 0], v=v)
+        with pytest.raises(ValueError):
+            default_plant(v)
 
 
 def test_controllability_matrix_layout():
