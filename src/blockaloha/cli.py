@@ -489,14 +489,8 @@ def cmd_success_prob(cfg: RunConfig, points: int = 41) -> int:
     if points < 2:
         raise ConfigError("points must be >= 2")
     lams = np.linspace(0.0, 2.0 * cfg.params.lam, points)
-    rows = [
-        [
-            float(lam),
-            slot_success_prob(cfg.params, float(lam)),
-            slot_success_prob(cfg.params, float(lam), backend="quadrature"),
-        ]
-        for lam in lams
-    ]
+    columns = [lams] + [slot_success_prob(cfg.params, lams, b) for b in ("closed", "quadrature")]
+    rows = np.column_stack(columns).tolist()
     path = _emit(
         cfg,
         "success-prob",

@@ -36,7 +36,7 @@ from .latency import VIRTUAL_BLOCK_MODES, HistoryState, _ex_core
 # these names on this module.  Drop this line with the next benchmark change.
 from .latency import _pcl_weights, expected_paoi, expected_peak_latency  # noqa: F401
 from .runlength import BlockShape, _check_count, _check_prob, _chi_core, chi
-from .spatial import AccessPolicy, NetworkParams, interference_integral, noise_exponent
+from .spatial import AccessPolicy, NetworkParams, slot_success_prob
 
 __all__ = [
     "OptimizerConfig",
@@ -146,17 +146,11 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
 
 def _recursion(P_O_prev, params, shape, dB, dS, dC, checked=False):
     """``block_recursion``'s fields, the stacked slot array [rho, dS rho, dC rho]
-    and its complement q = 1 - slot; ``chi`` runs unchecked unless ``checked``.
-
-    Where no interferer transmits (lam_eff = 0) the interference exponent is
-    0, also when 2 pi I overflows; a finite 2 pi I times 0 is 0 anyway.
-    """
+    and its complement q = 1 - slot; ``chi`` runs unchecked unless ``checked``."""
     pre = 1.0 - P_O_prev
     d_eff = dB + (1.0 - dB) * dS
     lam_eff = params.lam * (pre * d_eff + P_O_prev * dC)
-    b = 2.0 * math.pi * interference_integral(params)
-    interference = b * lam_eff if b < math.inf else np.where(lam_eff > 0.0, math.inf, 0.0)
-    rho = np.exp(-noise_exponent(params) - interference)
+    rho = slot_success_prob(params, lam_eff)
 
     slot = np.stack([rho, dS * rho, dC * rho])
     q = 1.0 - slot

@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "NetworkParams",
     "AccessPolicy",
@@ -203,20 +205,27 @@ def noise_exponent(params: NetworkParams) -> float:
 
 
 def slot_success_prob(
-    params: NetworkParams, lambda_eff: float, backend: str = "closed"
-) -> float:
-    """Conditional slot success probability of the typical link.
+    params: NetworkParams, lambda_eff: float | np.ndarray, backend: str = "closed"
+) -> float | np.ndarray:
+    """Conditional slot success probability of the typical link at a scalar
+    (a float back) or an array of effective densities.
 
     Product of the noise-limited Rayleigh term exp(-g N0 r0^a / xi) and the
-    interference term exp(-2 pi lambda_eff I), which is 1 at lambda_eff = 0
-    even where I is inf.  Both backends of the interference integral agree
-    to better than 1e-9 relative.
+    interference term exp(-b lambda_eff), b = 2 pi I, which is 1 at
+    lambda_eff = 0 even where b is inf; a product past the float range is
+    inf, so the success probability is 0.  This is the grid scan's rho.
+    Both backends of the interference integral agree to better than 1e-9
+    relative.
     """
-    if not lambda_eff >= 0.0:  # NaN fails it too
-        raise ValueError(f"lambda_eff must be >= 0, got {lambda_eff}")
-    integral = interference_integral(params, backend)
-    interf = 2.0 * math.pi * lambda_eff * integral if lambda_eff > 0.0 else 0.0
-    return math.exp(-noise_exponent(params) - interf)
+    lam = np.asarray(lambda_eff, dtype=float)
+    if not (lam >= 0.0).all():  # NaN fails it too
+        raise ValueError(f"lambda_eff must be >= 0, got {lam[~(lam >= 0.0)][0]}")
+    b = 2.0 * math.pi * interference_integral(params, backend)
+    # b * 0 is nan where b is inf, and b * lam may pass the float range
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho = np.where(lam > 0.0, b * lam, 0.0)
+    np.exp(np.subtract(-noise_exponent(params), rho, out=rho), out=rho)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def default_disk_radius(lambda_eff: float) -> float:

@@ -40,7 +40,7 @@ from blockaloha import (
 )
 from blockaloha.latency import _EX_SERIES_MAX_TP, VIRTUAL_BLOCK_MODES, _ex_term, _pcl_weights
 from blockaloha.runlength import _CHI_MAX_BOUND, _CHI_MAX_MAGNITUDE, run_probability
-from blockaloha.spatial import interference_integral, interference_tail, noise_exponent
+from blockaloha.spatial import interference_tail
 
 
 def max_run(bits) -> int:
@@ -598,14 +598,14 @@ def ex_term_reference(p, T):
 
 def evaluate_grid_reference(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
     """The optimizer's ``_evaluate_grid`` computed step by step: the
-    recursion, then the slot array, its complement and q^T again for the
-    current-block latency, through the reference kernels."""
+    recursion on ``slot_success_prob``'s rho, then the slot array, its
+    complement and q^T again for the current-block latency, through the
+    reference kernels."""
     T = shape.T
     pre = 1.0 - P_O_prev
     d_eff = dB + (1.0 - dB) * dS
     lam_eff = params.lam * (pre * d_eff + P_O_prev * dC)
-    b = 2.0 * math.pi * interference_integral(params)
-    rho = np.exp(-noise_exponent(params) - b * lam_eff)
+    rho = slot_success_prob(params, lam_eff)
     chi_rho, chi_S, chi_C = chi_reference(shape, np.stack([rho, dS * rho, dC * rho]))
     pi = dB * chi_rho + (1.0 - dB) * chi_S
     fields = {

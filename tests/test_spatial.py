@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,50 @@ def test_slot_success_rejects_negative_density():
     for backend in ("closed", "quadrature"):
         with pytest.raises(ValueError, match="lambda_eff"):
             slot_success_prob(params(), math.nan, backend)
+    # one bad entry of an array is enough
+    for bad in (-1e-5, math.nan):
+        with pytest.raises(ValueError, match="lambda_eff"):
+            slot_success_prob(params(), np.array([0.0, 1e-4, bad]))
+
+
+def test_slot_success_prob_is_the_scans_rho_property():
+    # the scan's rho, the array call and scalar calls share one formula, bit for bit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    net = st.fixed_dictionaries({
+        "lam": st.floats(1e-6, 1e-2), "alpha": st.floats(2.05, 8.0),
+        "gamma": st.floats(1e-3, 10.0), "xi": st.floats(1e-3, 100.0),
+        "N0": st.floats(1e-20, 1e-8), "r0": st.floats(1.0, 500.0),
+    })
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(net=net, P_prev=unit,
+                      deltas=st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=20))
+    def holds(net, P_prev, deltas):
+        p = NetworkParams(**net)
+        dB, dS, dC = np.array(deltas).T
+        lam_eff = p.lam * ((1.0 - P_prev) * (dB + (1.0 - dB) * dS) + P_prev * dC)
+        rho = block_recursion(P_prev, p, BlockShape(5, 2), dB, dS, dC)["rho"]
+        assert rho.tobytes() == slot_success_prob(p, lam_eff).tobytes()
+        scalars = [slot_success_prob(p, float(lam)) for lam in lam_eff]
+        assert all(type(x) is float for x in scalars)
+        assert rho.tolist() == scalars
+
+    holds()
+
+
+def test_slot_success_prob_array_where_the_interference_integral_overflows():
+    # 2 pi I is inf: no interference term where lambda_eff = 0, 0 elsewhere,
+    # and no inf * 0 warning on the way
+    far = params(r0=1e200, alpha=2.1, xi=1e119, N0=1e-300)
+    quiet = np.exp(-noise_exponent(far))
+    assert 0.0 < quiet < 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for backend in ("closed", "quadrature"):
+            rho = slot_success_prob(far, np.array([0.0, 1e-4, 0.0, 2e-3]), backend)
+            assert rho.tolist() == [quiet, 0.0, quiet, 0.0]
 
 
 def test_default_disk_radius_rejects_negative_and_nan_density():
