@@ -469,9 +469,7 @@ def cmd_chi_table(cfg: RunConfig, x_step: float = 0.05) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     header = ["x"] + [f"chi_v{v}" for v in range(1, T + 1)]
-    rows = []
-    for x in xs:
-        rows.append([float(x)] + [chi(BlockShape(T, v), float(x)) for v in range(1, T + 1)])
+    rows = np.column_stack([xs] + [chi(BlockShape(T, v), xs) for v in range(1, T + 1)]).tolist()
     path = _emit(
         cfg,
         "chi-table",

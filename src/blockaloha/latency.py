@@ -232,10 +232,10 @@ def _ex_term(p, T: int) -> np.ndarray:
     series (T-1)/2 - (T^2-1) p/12 (1 + p/2 - (T^2-19) p^2/60 - (T^2-9)
     p^3/40) + O(T^6 p^5).
     """
-    p = np.asarray(p, dtype=float)
-    q = 1.0 - p
+    flat = np.asarray(p, dtype=float).reshape(-1)  # a scalar takes the array path's bits
+    q = 1.0 - flat
     qT = q**T
-    return _ex_core(p, q, qT, 1.0 - qT, T)
+    return _ex_core(flat, q, qT, 1.0 - qT, T).reshape(np.shape(p))
 
 
 def _ex_core(p, q, qT, fresh, T: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from .latency import VIRTUAL_BLOCK_MODES, HistoryState, _ex_core
 # these names on this module.  Drop this line with the next benchmark change.
 from .latency import _pcl_weights, expected_paoi, expected_peak_latency  # noqa: F401
 from .runlength import BlockShape, _check_count, _check_prob, _chi_core, chi
-from .spatial import AccessPolicy, NetworkParams, slot_success_prob
+from .spatial import AccessPolicy, NetworkParams, _thinning, slot_success_prob
 
 __all__ = [
     "OptimizerConfig",
@@ -145,18 +145,17 @@ def block_recursion(P_O_prev, params, shape, dB, dS, dC) -> dict[str, np.ndarray
 
 
 def _recursion(P_O_prev, params, shape, dB, dS, dC, checked=False):
-    """``block_recursion``'s fields, the stacked slot array [rho, dS rho, dC rho]
-    and its complement q = 1 - slot; ``chi`` runs unchecked unless ``checked``."""
-    pre = 1.0 - P_O_prev
-    d_eff = dB + (1.0 - dB) * dS
-    lam_eff = params.lam * (pre * d_eff + P_O_prev * dC)
+    """``block_recursion``'s fields, the stacked slot array [rho, dS rho, dC rho],
+    its complement q = 1 - slot and the stacked regime shares of ``_thinning``;
+    ``chi`` runs unchecked unless ``checked``."""
+    share, lam_eff = _thinning(params, P_O_prev, dB, dS, dC)
     rho = slot_success_prob(params, lam_eff)
 
     slot = np.stack([rho, dS * rho, dC * rho])
     q = 1.0 - slot
     chi_rho, chi_S, chi_C = chi(shape, slot) if checked else _chi_core(shape, slot, q)
     pi = dB * chi_rho + (1.0 - dB) * chi_S
-    pre_pi = pre * pi
+    pre_pi = (1.0 - P_O_prev) * pi
     fields = {
         "rho": rho,
         "pi": pi,
@@ -164,25 +163,23 @@ def _recursion(P_O_prev, params, shape, dB, dS, dC, checked=False):
         "P_O_tilde": pre_pi + P_O_prev * chi_C,
         "chi_C": chi_C,
     }
-    return fields, slot, q
+    return fields, slot, q, share
 
 
 def _evaluate_grid(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
     """Vectorized per-block evaluation pipeline over candidate arrays; the history
     enters only as ``cdf_pcl_cond``, its ``pcl_context()[0]``.
 
-    One pass: the slot array and its complement come from the recursion, q^T
-    is raised once for the block success 1 - q^T and ``_ex_term``'s closed
-    form, and the kernels run without input checks, since every slot
-    probability lies in [0, 1] by construction.
+    One pass: the slot array, its complement and the regime shares come from
+    the recursion, q^T is raised once for the block success 1 - q^T and
+    ``_ex_term``'s closed form, and the kernels run without input checks,
+    since every slot probability lies in [0, 1] by construction.
     """
     T = shape.T
-    fields, slot, q = _recursion(P_O_prev, params, shape, dB, dS, dC)
-    pre = 1.0 - P_O_prev
+    fields, slot, q, m = _recursion(P_O_prev, params, shape, dB, dS, dC)
     qT = q**T
     fresh = 1.0 - qT
-    m = np.stack([pre * dB, pre * (1.0 - dB) * dS, P_O_prev * dC])
-    m *= fresh  # regime fraction * block success
+    m *= fresh  # regime share * block success
     pz = m.sum(axis=0)
     valid = pz > 0.0
     pz_safe = np.where(valid, pz, 1.0)

@@ -73,9 +73,9 @@ def chi(shape: BlockShape, x):
     v = 1).  The sum can still undershoot 0 (or overshoot 1) by a few ulps,
     so the result is clamped to [0, 1].
     """
-    arr = _check_prob(x)
-    out = _chi_core(shape, arr, 1.0 - arr)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    flat = _check_prob(x).reshape(-1)  # a scalar takes the array path's bits
+    out = _chi_core(shape, flat, 1.0 - flat)
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def _chi_core(shape: BlockShape, x, q):

@@ -91,10 +91,17 @@ class RegimeDensities:
     lambda_B: float
     lambda_S: float
     lambda_C: float
+    lambda_eff: float
 
-    @property
-    def lambda_eff(self) -> float:
-        return self.lambda_B + self.lambda_S + self.lambda_C
+
+def _thinning(params: NetworkParams, P_O_prev, dB, dS, dC):
+    """(share, lambda_eff) for scalars or arrays that broadcast together: the
+    controller shares transmitting by block access, by slot access before
+    and after controllability, ((1-P) dB, (1-P)(1-dB) dS, P dC) at P =
+    ``P_O_prev``, stacked, and lambda_eff = lam share.sum(axis=0)."""
+    pre = 1.0 - P_O_prev
+    share = np.stack(np.broadcast_arrays(pre * dB, pre * (1.0 - dB) * dS, P_O_prev * dC))
+    return share, params.lam * share.sum(axis=0)
 
 
 def effective_densities(
@@ -103,17 +110,13 @@ def effective_densities(
     """Thin the controller PPP into per-regime transmitting densities.
 
     ``P_O_prev`` is the fraction of controllers already past controllability
-    at the start of the block (0 for the first block).
+    at the start of the block (0 for the first block).  ``lambda_eff`` is
+    the grid scan's, bit for bit.
     """
     if not 0.0 <= P_O_prev <= 1.0:
         raise ValueError(f"P_O_prev must lie in [0, 1], got {P_O_prev}")
-    lam = params.lam
-    pre = 1.0 - P_O_prev
-    return RegimeDensities(
-        lambda_B=pre * policy.delta_B * lam,
-        lambda_S=pre * (1.0 - policy.delta_B) * policy.delta_S * lam,
-        lambda_C=P_O_prev * policy.delta_C * lam,
-    )
+    share, lam_eff = _thinning(params, P_O_prev, *policy.as_tuple())
+    return RegimeDensities(*(params.lam * share).tolist(), float(lam_eff))
 
 
 def interference_integral(params: NetworkParams, backend: str = "closed") -> float:

@@ -40,7 +40,7 @@ from blockaloha import (
 )
 from blockaloha.latency import _EX_SERIES_MAX_TP, VIRTUAL_BLOCK_MODES, _ex_term, _pcl_weights
 from blockaloha.runlength import _CHI_MAX_BOUND, _CHI_MAX_MAGNITUDE, run_probability
-from blockaloha.spatial import interference_tail
+from blockaloha.spatial import _thinning, interference_tail
 
 
 def max_run(bits) -> int:
@@ -598,13 +598,13 @@ def ex_term_reference(p, T):
 
 def evaluate_grid_reference(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
     """The optimizer's ``_evaluate_grid`` computed step by step: the
-    recursion on ``slot_success_prob``'s rho, then the slot array, its
-    complement and q^T again for the current-block latency, through the
-    reference kernels."""
+    recursion on ``slot_success_prob``'s rho at ``_thinning``'s lambda_eff,
+    then the slot array, its complement and q^T again for the current-block
+    latency, through the reference kernels, weighted by ``_thinning``'s
+    shares."""
     T = shape.T
     pre = 1.0 - P_O_prev
-    d_eff = dB + (1.0 - dB) * dS
-    lam_eff = params.lam * (pre * d_eff + P_O_prev * dC)
+    share, lam_eff = _thinning(params, P_O_prev, dB, dS, dC)
     rho = slot_success_prob(params, lam_eff)
     chi_rho, chi_S, chi_C = chi_reference(shape, np.stack([rho, dS * rho, dC * rho]))
     pi = dB * chi_rho + (1.0 - dB) * chi_S
@@ -616,9 +616,8 @@ def evaluate_grid_reference(P_O_prev, cdf_pcl_cond, params, shape, config, dB, d
         "chi_C": chi_C,
     }
 
-    m = np.stack([pre * dB, pre * (1.0 - dB) * dS, P_O_prev * dC])
     slot_p = np.stack([rho, dS * rho, dC * rho])
-    m = m * (1.0 - (1.0 - slot_p) ** T)  # regime fraction * block success
+    m = share * (1.0 - (1.0 - slot_p) ** T)  # regime share * block success
     pz = m.sum(axis=0)
     valid = pz > 0.0
     ex = ex_term_reference(slot_p, T)

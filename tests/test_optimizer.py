@@ -251,6 +251,20 @@ def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape)
                 assert arr[0] == fields[name][i], (name, i, P_prev)
 
 
+def test_block_recursion_broadcasts_scalars_against_arrays():
+    # a scalar delta or an array of P_O_prev broadcasts against the others
+    dB = np.linspace(0.0, 1.0, 5)
+    full = block_recursion(0.3, PARAMS, SHAPE, dB, np.full(5, 0.5), np.full(5, 0.2))
+    mixed = block_recursion(0.3, PARAMS, SHAPE, dB, 0.5, 0.2)
+    P_prev = np.array([0.1, 0.5])
+    per_P = block_recursion(P_prev, PARAMS, SHAPE, 0.2, 0.5, 0.2)
+    for name, arr in full.items():
+        assert arr.tobytes() == mixed[name].tobytes(), name
+        for j, P in enumerate(P_prev):
+            one = block_recursion(P, PARAMS, SHAPE, np.array([0.2]), 0.5, 0.2)[name]
+            assert per_P[name][j] == one[0], name
+
+
 def test_block_recursion_calls_chi_once_per_block(monkeypatch):
     # rho, delta_S rho and delta_C rho of every candidate in a slice go in
     # one call of the scan's unchecked kernel; a grid of more than one slice

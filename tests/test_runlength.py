@@ -141,8 +141,8 @@ def test_chi_routes_binomials_past_float_range_to_the_chain(T):
 def test_chi_skips_only_exact_work(monkeypatch):
     # where the exact term bound keeps every point's estimate within 1e-12
     # chi skips the magnitude sum, and it never multiplies by a binomial,
-    # ratio or q power equal to 1: the full sum gives the same bits, for
-    # arrays and for scalars, on both sides of that bound
+    # ratio or q power equal to 1: the full sum over an array gives the same
+    # bits, for arrays and for scalars, on both sides of that bound
     import blockaloha.runlength as runlength
     from oracles import chi_reference
 
@@ -158,9 +158,10 @@ def test_chi_skips_only_exact_work(monkeypatch):
         for v in range(1, T + 1):
             shape = BlockShape(T, v)
             sides.add(certified(T, v))
-            assert chi(shape, xs).tobytes() == chi_reference(shape, xs).tobytes(), (T, v)
-            for x in xs[::10]:
-                assert chi(shape, x).hex() == chi_reference(shape, x).hex(), (T, v, x)
+            want = chi_reference(shape, xs)
+            assert chi(shape, xs).tobytes() == want.tobytes(), (T, v)
+            for x, w in zip(xs[::10], want[::10]):
+                assert chi(shape, float(x)).hex() == float(w).hex(), (T, v, x)
     assert sides == {True, False}
     # T=200, v=2 sends some of its points to the chain, as the full sum does
     chain_calls = []
@@ -285,6 +286,31 @@ def test_ex_term_matches_mpmath_down_to_tiny_p(T):
         tol = 1e-12 if p < threshold else 1e-12 + 2.0**-52 / (T * p * p)
         assert abs(got - want) <= tol * want, (p, got, want)
     assert float(_ex_term(1e-9, 5)) == pytest.approx(1.999999998, rel=1e-12)
+
+
+def test_chi_and_ex_term_give_a_scalar_the_array_bits_property():
+    # the peak formulas and validate pass scalars, the scan arrays: one value each
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(1e-15, 1e-2))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(T=st.integers(1, 60), v_share=st.floats(0.0, 1.0), big_T=st.integers(1, 1000),
+                      xs=st.lists(unit, min_size=1, max_size=20))
+    def holds(T, v_share, big_T, xs):
+        shape = BlockShape(T, 1 + round(v_share * (T - 1)))
+        arr = np.array(xs)
+        assert np.array([chi(shape, x) for x in xs]).tobytes() == chi(shape, arr).tobytes()
+        for n in (T, big_T):
+            scalars = [_ex_term(x, n) for x in xs]
+            assert all(s.shape == () for s in scalars)
+            assert np.array(scalars).tobytes() == _ex_term(arr, n).tobytes()
+
+    holds()
+    # points where a scalar once took other bits than the array path
+    assert chi(BlockShape(11, 1), 0.4) == chi(BlockShape(11, 1), np.array([0.4]))[0]
+    p = 0.016411074326549795
+    assert float(_ex_term(p, 3)) == _ex_term(np.array([p]), 3)[0]
 
 
 def test_ex_term_lies_between_zero_and_half_the_block_property():

@@ -16,7 +16,7 @@ from blockaloha import (
     parse_power_watts,
     slot_success_prob,
 )
-from blockaloha.spatial import interference_tail, noise_exponent
+from blockaloha.spatial import _thinning, interference_tail, noise_exponent
 from oracles import sample_sinr_success
 
 DEFAULTS = dict(lam=1e-4, alpha=3.0, gamma=0.1, xi=10.0, N0=1e-17, r0=25.0)
@@ -236,7 +236,9 @@ def test_slot_success_rejects_negative_density():
 
 
 def test_slot_success_prob_is_the_scans_rho_property():
-    # the scan's rho, the array call and scalar calls share one formula, bit for bit
+    # the scan's rho, the array call and scalar calls share one formula, bit for
+    # bit; per candidate, effective_densities holds lam times the scan's shares
+    # and the scan's lambda_eff, so the spatial tier's rho is the scan's
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -252,12 +254,17 @@ def test_slot_success_prob_is_the_scans_rho_property():
     def holds(net, P_prev, deltas):
         p = NetworkParams(**net)
         dB, dS, dC = np.array(deltas).T
-        lam_eff = p.lam * ((1.0 - P_prev) * (dB + (1.0 - dB) * dS) + P_prev * dC)
+        share, lam_eff = _thinning(p, P_prev, dB, dS, dC)
         rho = block_recursion(P_prev, p, BlockShape(5, 2), dB, dS, dC)["rho"]
         assert rho.tobytes() == slot_success_prob(p, lam_eff).tobytes()
         scalars = [slot_success_prob(p, float(lam)) for lam in lam_eff]
         assert all(type(x) is float for x in scalars)
         assert rho.tolist() == scalars
+        for i, policy in enumerate(deltas):
+            d = effective_densities(p, AccessPolicy(*policy), P_prev)
+            assert [d.lambda_B, d.lambda_S, d.lambda_C] == (p.lam * share[:, i]).tolist()
+            assert d.lambda_eff.hex() == float(lam_eff[i]).hex()
+            assert slot_success_prob(p, d.lambda_eff).hex() == float(rho[i]).hex()
 
     holds()
 
