@@ -189,14 +189,14 @@ def _evaluate_grid(P_O_prev, cdf_pcl_cond, params, shape, config, dB, dS, dC):
     if config.cdf_mode == "indicator":
         cdf_curr = np.where(valid & (theta_curr <= config.eta_curr), pz, 0.0)
     else:
-        # rank score: fraction of valid candidates this one strictly beats
-        # (larger theta_curr elsewhere), so smaller latency scores higher
+        # rank score: fraction of valid candidates whose theta_curr is larger
+        # by more than _TIE_TOL, so smaller latency scores higher
         cdf_curr = np.zeros_like(pz)
         if valid.any():
             vals = theta_curr[valid]
             order = np.sort(vals)
             n_valid = vals.size
-            worse = n_valid - np.searchsorted(order, vals, side="right")
+            worse = n_valid - np.searchsorted(order, vals + _TIE_TOL, side="right")
             cdf_curr[valid] = worse / n_valid * pz[valid]
 
     cdf_pcl = cdf_pcl_cond * fields["P_O_tilde"]

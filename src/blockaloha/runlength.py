@@ -2,17 +2,17 @@
 
 A block of T slots is "controllable" when its success/failure sequence
 contains a run of at least v consecutive successes.  ``chi`` evaluates the
-probability of that event in closed form (inclusion-exclusion over run
-placements); ``chi_bruteforce`` recomputes it by enumerating all 2^T
-sequences and is the ground-truth oracle for ``chi``.  ``run_probability``
-is the same event for slots of unequal success probabilities, by the
-run-length Markov chain.
+probability of that event by the first-completion recursion, in O(T) IEEE
+adds and multiplies per point, with no binomial; ``chi_bruteforce``
+recomputes it by enumerating all 2^T sequences and is the ground-truth
+oracle for ``chi``.  ``run_probability`` is the same event for slots of
+unequal success probabilities, by the run-length Markov chain.
 """
 
 from __future__ import annotations
 
-import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,10 +26,6 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_T = 24
-# the magnitude sum of chi's terms above which 2^-52 of it exceeds 1e-12
-_CHI_MAX_MAGNITUDE = 1e-12 * 2.0**52
-# the exact bound on that sum above which a term or the sum could overflow a float
-_CHI_MAX_BOUND = 2**1023
 
 
 @dataclass(frozen=True)
@@ -64,14 +60,12 @@ def _check_prob(x, name="x"):
 def chi(shape: BlockShape, x):
     """Probability that T i.i.d. Bernoulli(x) slots contain a run of >= v ones.
 
-    Accepts a scalar or ndarray ``x``; returns the same shape.  The
-    alternating inclusion-exclusion sum carries the sum of its terms'
-    magnitudes beside it, and 2^-52 times that sum estimates its rounding
-    error: points where the estimate exceeds 1e-12 (none for T <= 20) are
-    evaluated by ``run_probability`` instead, and so is every point when the
-    binomials are too large for the terms to fit a float (from T = 1,461 at
-    v = 1).  The sum can still undershoot 0 (or overshoot 1) by a few ulps,
-    so the result is clamped to [0, 1].
+    Accepts a scalar or ndarray ``x``; returns the same shape.  Evaluated by
+    the first-completion recursion of ``_chi_core``, on one path for every
+    T.  Its terms are all >= 0, so it never goes below 0, and its rounding
+    stays within (T + 1) 2^-52 of the exact value (tested up to T = 3000);
+    near x = 1 that rounding can take it past 1 (by 248 ulps at T = 3000,
+    v = 1000), so the result is capped at 1.
     """
     flat = _check_prob(x).reshape(-1)  # a scalar takes the array path's bits
     out = _chi_core(shape, flat, 1.0 - flat)
@@ -81,40 +75,32 @@ def chi(shape: BlockShape, x):
 def _chi_core(shape: BlockShape, x, q):
     """``chi`` of an array ``x`` in [0, 1], unchecked, given its complement q = 1 - x.
 
-    Factors that are exactly 1 (a binomial or ratio of 1, q^0) are not
-    multiplied in, q^1 is q, and the magnitude sum is skipped where the
-    exact bound on it is at most 2^52 1e-12 (6 at T=5, v=2), since no point
-    can then need the chain: each gives the bits of the full sum.
+    The first run completes at slot n > v only if there is no run by slot
+    n - v - 1, a failure at n - v and then v successes (Feller 1968, vol. I,
+    XIII.7), so chi_n = chi_{n-1} + (1 - chi_{n-v-1}) q x^v, with
+    chi_n = x^v (1 + (n - v) q) for v <= n <= 2v, where no run can end
+    before slot n - v - 1.  Only the last v + 1 values are kept.
     """
     T, v = shape.T, shape.v
-    total = np.zeros_like(x)
-    runs = range(1, (T + 1) // (v + 1) + 1)
-    # binomials computed in exact integer arithmetic, one float conversion;
-    # term l is at most comb(T - l v, l - 1) max(l, T - l v + 1)
-    coeffs = [math.comb(T - l * v, l - 1) for l in runs]
-    bound = sum(c * max(l, T - l * v + 1) for l, c in zip(runs, coeffs))
-    magnitude = None if bound <= _CHI_MAX_MAGNITUDE else np.zeros_like(x)
-    if bound > _CHI_MAX_BOUND:
-        magnitude[...] = math.inf  # every point is lossy
-        coeffs = []
-    for l, coeff in zip(runs, coeffs):
-        ratio = (T - l * v + 1) / l
-        term = x + (q if ratio == 1.0 else ratio * q)
-        if coeff != 1:
-            term = float(coeff) * term
-        term = term * x ** (l * v)
-        if l > 1:
-            term = term * (q if l == 2 else q ** (l - 1))
-        if l % 2 == 1:
-            total += term
-        else:
-            total -= term
-        if magnitude is not None:
-            magnitude += term
-    if magnitude is not None and magnitude.max(initial=0.0) > _CHI_MAX_MAGNITUDE:
-        lossy = magnitude > _CHI_MAX_MAGNITUDE
-        total[lossy] = run_probability(np.broadcast_to(x[lossy][:, None], (lossy.sum(), T)), v)
-    return np.clip(total, 0.0, 1.0)
+    xv = _power(x, v)
+    step = q * xv
+    first = v if T > 2 * v else T  # chi_v..chi_2v start the recursion, or chi_T alone
+    window = deque(xv * (1.0 + (n - v) * q) for n in range(first, min(T, 2 * v) + 1))
+    for _ in range(2 * v + 1, T + 1):
+        chi_n = window.popleft()  # chi_{n-v-1}, read for the last time
+        np.subtract(1.0, chi_n, out=chi_n)
+        chi_n *= step
+        chi_n += window[-1]
+        window.append(chi_n)
+    return np.minimum(window[-1], 1.0, out=window[-1])
+
+
+def _power(x, n: int):
+    """x^n for an integer n >= 1 by repeated squaring, with IEEE multiplies only."""
+    if n == 1:
+        return x
+    half = _power(x * x, n // 2)
+    return half * x if n % 2 else half
 
 
 def run_probability(p, v: int) -> np.ndarray:

@@ -136,7 +136,8 @@ def interference_integral(params: NetworkParams, backend: str = "closed") -> flo
         log_scale = 2.0 * math.log(r0) + 2.0 / a * math.log(g)
         scale = math.exp(log_scale) if log_scale < _LOG_MAX else math.inf
     if backend == "closed":
-        unit = (math.pi / a) / math.sin(2.0 * math.pi / a)
+        # sin(2 pi/a) folded into [0, pi/2]; a - 2 is exact, so no cancellation at a -> 2
+        unit = (math.pi / a) / math.sin(math.pi * min(a - 2.0, 2.0) / a)
     elif backend == "quadrature":
         unit = _trapezoid_unit(a)
     else:

@@ -13,12 +13,12 @@ candidate policy at a time from the library's scalar building blocks and
 those array forms; the optimizer's vectorized grid scan and its running-sum
 ``HistoryState`` are tested against it.  ``evaluate_grid_reference``
 computes the grid scan step by step: it builds the slot array and its
-complement again where it needs them, raises q^T twice, and evaluates
-``chi_reference`` and ``ex_term_reference``, the kernels' full sums; the
+complement again where it needs them, raises q^T twice, and evaluates the
+checked ``chi`` and ``ex_term_reference``, ``_ex_term``'s full form; the
 optimizer's one-pass scan and its unchecked cores must reproduce it bit for
 bit.  ``optimize_block_reference`` scores the whole grid in one
 ``evaluate_grid_reference`` call, the form the optimizer's sliced scan must
-reproduce bit for bit.
+reproduce bit for bit.  ``chi_mpmath`` is ``chi``'s exact oracle for every T.
 """
 
 import itertools
@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import pytest
 
 from blockaloha import (
     BlockHistory,
@@ -39,7 +40,7 @@ from blockaloha import (
     slot_success_prob,
 )
 from blockaloha.latency import _EX_SERIES_MAX_TP, VIRTUAL_BLOCK_MODES, _ex_term, _pcl_weights
-from blockaloha.runlength import _CHI_MAX_BOUND, _CHI_MAX_MAGNITUDE, run_probability
+from blockaloha.optimizer import _TIE_TOL
 from blockaloha.spatial import _thinning, interference_tail
 
 
@@ -549,32 +550,26 @@ def optimize_block_reference(k, P_O_prev, state, params, shape, config):
     )
 
 
-def chi_reference(shape, x):
-    """``chi`` by its full alternating sum: every term with its coefficient and
-    q powers multiplied in, and the magnitude sum taken at every point."""
-    arr = np.asarray(x, dtype=float)
-    T, v = shape.T, shape.v
-    total = np.zeros_like(arr)
-    magnitude = np.zeros_like(arr)
-    one_minus = 1.0 - arr
+def chi_mpmath(T: int, v: int, x: float) -> float:
+    """``chi`` by its alternating inclusion-exclusion sum over run placements,
+    evaluated in ``mpmath`` at the float ``x``.
+
+    Term l is at most comb(T - l v, l - 1) max(l, T - l v + 1), so the
+    working precision is the bit length of that exact bound summed over l,
+    plus T's and 64 more: the rounding of at most T terms stays below 2^-60
+    however much their sum cancels.
+    """
+    mpmath = pytest.importorskip("mpmath")
     runs = range(1, (T + 1) // (v + 1) + 1)
-    coeffs = [math.comb(T - l * v, l - 1) for l in runs]
-    if sum(c * max(l, T - l * v + 1) for l, c in zip(runs, coeffs)) > _CHI_MAX_BOUND:
-        magnitude[...] = math.inf
-    else:
-        for l, coeff in zip(runs, coeffs):
-            boundary = arr + ((T - l * v + 1) / l) * one_minus
-            term = float(coeff) * boundary * arr ** (l * v) * one_minus ** (l - 1)
-            if l % 2 == 1:
-                total += term
-            else:
-                total -= term
-            magnitude += term
-    if magnitude.max(initial=0.0) > _CHI_MAX_MAGNITUDE:
-        lossy = magnitude > _CHI_MAX_MAGNITUDE
-        total[lossy] = run_probability(np.broadcast_to(arr[lossy][:, None], (lossy.sum(), T)), v)
-    out = np.clip(total, 0.0, 1.0)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    bound = sum(math.comb(T - l * v, l - 1) * max(l, T - l * v + 1) for l in runs)
+    with mpmath.workprec(bound.bit_length() + T.bit_length() + 64):
+        x = mpmath.mpf(x)
+        q = 1 - x
+        total = mpmath.mpf(0)
+        for l in runs:
+            term = math.comb(T - l * v, l - 1) * (x + mpmath.mpf(T - l * v + 1) / l * q)
+            total += (-1) ** (l + 1) * term * x ** (l * v) * q ** (l - 1)
+        return float(total)
 
 
 def ex_term_reference(p, T):
@@ -600,13 +595,13 @@ def evaluate_grid_reference(P_O_prev, cdf_pcl_cond, params, shape, config, dB, d
     """The optimizer's ``_evaluate_grid`` computed step by step: the
     recursion on ``slot_success_prob``'s rho at ``_thinning``'s lambda_eff,
     then the slot array, its complement and q^T again for the current-block
-    latency, through the reference kernels, weighted by ``_thinning``'s
-    shares."""
+    latency, through the checked ``chi`` and ``ex_term_reference``, weighted
+    by ``_thinning``'s shares."""
     T = shape.T
     pre = 1.0 - P_O_prev
     share, lam_eff = _thinning(params, P_O_prev, dB, dS, dC)
     rho = slot_success_prob(params, lam_eff)
-    chi_rho, chi_S, chi_C = chi_reference(shape, np.stack([rho, dS * rho, dC * rho]))
+    chi_rho, chi_S, chi_C = chi(shape, np.stack([rho, dS * rho, dC * rho]))
     pi = dB * chi_rho + (1.0 - dB) * chi_S
     fields = {
         "rho": rho,
@@ -631,7 +626,7 @@ def evaluate_grid_reference(P_O_prev, cdf_pcl_cond, params, shape, config, dB, d
             vals = theta_curr[valid]
             order = np.sort(vals)
             n_valid = vals.size
-            worse = n_valid - np.searchsorted(order, vals, side="right")
+            worse = n_valid - np.searchsorted(order, vals + _TIE_TOL, side="right")
             cdf_curr[valid] = worse / n_valid * pz[valid]
 
     cdf_pcl = cdf_pcl_cond * fields["P_O_tilde"]

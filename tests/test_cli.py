@@ -209,8 +209,8 @@ def test_commands_where_r0_squared_overflows(tmp_path):
 
 
 def test_optimize_at_a_block_too_long_for_chi_binomials(tmp_path):
-    # comb(1999, l - 1) overflows a float at T=2000, v=1: chi's chain route
-    # gives a probability, not an OverflowError
+    # comb(1999, l - 1) overflows a float at T=2000, v=1: chi's recursion
+    # takes no binomial and gives a probability, not an OverflowError
     assert run_cli("optimize", "--outdir", str(tmp_path), "--set", "T=2000", "--set", "v=1",
                    "--set", "K=1") == 0
     lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -324,6 +324,37 @@ def test_module_entry_point_exit_codes(tmp_path):
     proc = module("chi-table", "--set", "T=0")
     assert proc.returncode == 2
     assert "config error:" in proc.stderr
+
+
+def test_chi_table_bits_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # chi takes only IEEE adds and multiplies, so its bytes are the same
+    # whichever SIMD kernels numpy dispatches to; with its non-baseline
+    # targets (AVX-512 and AVX2 on x86) disabled, the run says they are off
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+
+    targets = " ".join(t for t in umath.__cpu_dispatch__ if t not in umath.__cpu_baseline__)
+    script = ("import sys; from numpy._core._multiarray_umath import __cpu_features__ as on;"
+              " from blockaloha.cli import main;"
+              " print([t for t in sys.argv[1].split() if on[t]]); sys.exit(main(sys.argv[2:]))")
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(blockaloha.__file__).resolve().parents[1])
+
+    def table(outdir, extra_env, *args):
+        proc = subprocess.run([sys.executable, "-c", script, targets, "chi-table", *args,
+                               "--outdir", str(tmp_path / outdir)],
+                              env={**env, **extra_env}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[0], (tmp_path / outdir / "chi_table.csv").read_bytes()
+
+    for args in ((), ("--set", "T=40", "--set", "v=6")):
+        _, default = table(f"on{len(args)}", {}, *args)
+        enabled, disabled = table(f"off{len(args)}", {"NPY_DISABLE_CPU_FEATURES": targets}, *args)
+        assert enabled == "[]"
+        assert disabled == default, args
+        if not args:
+            digest = hashlib.sha256(default).hexdigest()
+            assert digest == _manifest("commands.sha256")["chi-table/chi_table.csv"]
 
 
 def test_demo_plant_pattern(tmp_path):

@@ -138,13 +138,14 @@ def _reference_horizon(params, shape, cfg):
             for c in vals
         ]
         if cfg.cdf_mode == "grid-rank":
-            # score: share of valid candidates with a strictly larger theta_curr
+            # score: share of valid candidates whose theta_curr is larger by
+            # more than the 1e-12 tie tolerance
             thetas = [r.theta_curr for r in recs if not math.isnan(r.theta_curr)]
             rescored = []
             for r in recs:
                 cdf_curr = 0.0
                 if not math.isnan(r.theta_curr):
-                    worse = sum(t > r.theta_curr for t in thetas)
+                    worse = sum(t > r.theta_curr + 1e-12 for t in thetas)
                     cdf_curr = worse / len(thetas) * r.block_success_prob
                 cost = r.P_O + cfg.rho1 * cdf_curr + cfg.rho2 * r.cdf_pcl
                 rescored.append((cost, cdf_curr, r))

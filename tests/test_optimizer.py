@@ -230,6 +230,27 @@ def test_grid_rank_mode_runs_and_orders():
     assert score[i_best] == score[valid].max()
 
 
+def test_grid_rank_ties_candidates_equal_in_exact_arithmetic():
+    # with delta_S = 1 slot access is block access, so the candidates that
+    # share a delta_C have one theta_curr in exact arithmetic; rounding can
+    # split it, but not their rank scores
+    from blockaloha.optimizer import _evaluate_grid
+
+    cfg = config(grid_step=0.05, cdf_mode="grid-rank")
+    vals = cfg.grid_values
+    B, S, C = (a.ravel() for a in np.meshgrid(vals, vals, vals, indexing="ij"))
+    full = S == 1.0
+    groups = 0
+    for P_prev in (0.0, 0.3, 0.55, 0.9):
+        fields = _evaluate_grid(P_prev, 0.7, PARAMS, SHAPE, cfg, B, S, C)
+        score = fields["cdf_curr"][full] / fields["block_success_prob"][full]
+        for c in vals:
+            group = score[C[full] == c]
+            np.testing.assert_allclose(group, group[0], rtol=1e-15, atol=0.0)
+            groups += 1
+    assert groups == 84
+
+
 @pytest.mark.parametrize("params, shape", [(PARAMS, SHAPE), CONGESTED])
 def test_block_recursion_on_one_candidate_equals_the_grid_bitwise(params, shape):
     # validate's policy chain evaluates one candidate at a time: it must
@@ -341,7 +362,7 @@ def test_scan_equals_the_reference_scan_bitwise(case, cdf_mode, history_scalar, 
         assert (slot == 0.0).any()
         if case == "series":
             assert ((slot > 0.0) & (slot < 1e-2 / shape.T)).any()
-    assert bool(chain_calls) == (case == "T200")
+    assert not chain_calls  # chi is one recursion for every T
 
 
 def test_block_recursion_takes_no_interference_where_no_interferer_transmits():

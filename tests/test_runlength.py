@@ -8,7 +8,7 @@ import pytest
 from blockaloha import BlockShape, chi, chi_bruteforce
 from blockaloha.latency import _ex_term
 from blockaloha.runlength import run_probability
-from oracles import chi_by_enumeration, max_run, truncated_geometric_mean
+from oracles import chi_by_enumeration, chi_mpmath, max_run, truncated_geometric_mean
 
 
 def test_block_shape_rejects_bad_dimensions():
@@ -118,16 +118,17 @@ def test_chi_clamped_to_unit_interval():
 
 @pytest.mark.parametrize("T, v", [(200, 2), (500, 5), (1000, 5)])
 def test_chi_matches_the_run_length_chain_at_large_T(T, v):
-    # the alternating sum alone is off by up to 1.3e-7, 1.6e-6 and 1.0 here
+    # the alternating sum in floats is off by up to 1.3e-7, 1.6e-6 and 1.0 here
     xs = np.linspace(0.01, 0.99, 50)
     want = run_probability(np.broadcast_to(xs[:, None], (xs.size, T)), v)
     np.testing.assert_allclose(chi(BlockShape(T, v), xs), want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("T", [1480, 2000])
-def test_chi_routes_binomials_past_float_range_to_the_chain(T):
-    # comb(T - l, l - 1) overflows a float from T = 1,484 at v = 1, and a
-    # term overflows just below; neither may surface as an error or warning
+def test_chi_matches_the_chain_where_binomials_pass_float_range(T):
+    # comb(T - l, l - 1) overflows a float from T = 1,484 at v = 1, where the
+    # alternating sum could not be evaluated in floats; the recursion takes
+    # no binomial and may raise no error or warning there
     xs = np.linspace(0.0, 1.0, 41)
     want = run_probability(np.broadcast_to(xs[:, None], (xs.size, T)), 1)
     with warnings.catch_warnings():
@@ -138,41 +139,6 @@ def test_chi_routes_binomials_past_float_range_to_the_chain(T):
     assert abs(scalar - float(run_probability(np.full(T, 0.3), 1))) <= 1e-12
 
 
-def test_chi_skips_only_exact_work(monkeypatch):
-    # where the exact term bound keeps every point's estimate within 1e-12
-    # chi skips the magnitude sum, and it never multiplies by a binomial,
-    # ratio or q power equal to 1: the full sum over an array gives the same
-    # bits, for arrays and for scalars, on both sides of that bound
-    import blockaloha.runlength as runlength
-    from oracles import chi_reference
-
-    def certified(T, v):
-        runs = range(1, (T + 1) // (v + 1) + 1)
-        bound = sum(math.comb(T - l * v, l - 1) * max(l, T - l * v + 1) for l in runs)
-        return bound <= 2.0**52 * 1e-12
-
-    assert certified(5, 2) and certified(10, 5) and not certified(200, 2)
-    xs = np.linspace(0.0, 1.0, 101)
-    sides = set()
-    for T in range(1, 61):
-        for v in range(1, T + 1):
-            shape = BlockShape(T, v)
-            sides.add(certified(T, v))
-            want = chi_reference(shape, xs)
-            assert chi(shape, xs).tobytes() == want.tobytes(), (T, v)
-            for x, w in zip(xs[::10], want[::10]):
-                assert chi(shape, float(x)).hex() == float(w).hex(), (T, v, x)
-    assert sides == {True, False}
-    # T=200, v=2 sends some of its points to the chain, as the full sum does
-    chain_calls = []
-    real_chain = runlength.run_probability
-    monkeypatch.setattr(runlength, "run_probability",
-                        lambda p, v: chain_calls.append(p.shape) or real_chain(p, v))
-    shape = BlockShape(200, 2)
-    assert chi(shape, xs).tobytes() == chi_reference(shape, xs).tobytes()
-    assert chain_calls and chain_calls[0][0] < xs.size
-
-
 def test_chi_is_a_monotone_probability_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -180,7 +146,7 @@ def test_chi_is_a_monotone_probability_property():
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(T=st.integers(1, 1000), data=st.data())
     def holds(T, data):
-        # short runs in long blocks are where the alternating sum cancels
+        # short runs in long blocks take the longest recursions
         v = data.draw(st.one_of(st.integers(1, min(T, 8)), st.integers(1, T)), label="v")
         lo = data.draw(st.floats(0.0, 1.0), label="lo")
         hi = data.draw(st.floats(lo, 1.0), label="hi")
@@ -189,6 +155,31 @@ def test_chi_is_a_monotone_probability_property():
         assert (np.diff(vals) >= -1e-12).all()
 
     holds()
+
+
+def test_chi_matches_the_exact_sum_property():
+    # every term of the recursion is >= 0, so it loses at most an ulp or so
+    # per slot; within (T+1) 2^-52 of the exact value, the cap at 1 removes
+    # rounding only
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    unit = st.one_of(st.floats(0.0, 1.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
+                     st.floats(0.0, 1e-8).map(lambda d: 1.0 - d))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(T=st.integers(1, 3000), data=st.data())
+    def holds(T, data):
+        v = data.draw(st.one_of(st.integers(1, min(T, 8)), st.integers(1, T)), label="v")
+        xs = data.draw(st.lists(unit, min_size=1, max_size=3), label="xs")
+        got = chi(BlockShape(T, v), np.array(xs))
+        want = np.array([chi_mpmath(T, v, x) for x in xs])
+        assert (np.abs(got - want) <= (T + 1) * 2.0**-52).all(), (got, want)
+
+    holds()
+    # points where the recursion passes 1 before the cap, by 16 and 248 ulps,
+    # and a block long enough that the alternating sum's binomials overflow
+    for T, v, x in [(3000, 40, 0.9999774425), (3000, 1000, 0.99999999254935), (2000, 1, 1e-3)]:
+        assert abs(chi(BlockShape(T, v), x) - chi_mpmath(T, v, x)) <= (T + 1) * 2.0**-52
 
 
 @pytest.mark.parametrize("T", range(1, 9))

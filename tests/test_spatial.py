@@ -86,6 +86,20 @@ def test_interference_integral_closed_form_value():
     assert interference_integral(params()) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [2.0000001, 2.05, 2.5, 3.0, 6.0, 3879.0, 1e6])
+def test_closed_form_matches_mpmath(alpha):
+    # sin(2 pi/a) is taken as sin(pi (a-2)/a) below a = 4: near a = 2 the
+    # plain form cancels (1.7e-10 off at a = 2.0000001), and the unfolded
+    # one loses digits at large a (1.4e-13 off at a = 3879)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        unit = (mpmath.pi / a) / mpmath.sin(2 * mpmath.pi / a)
+        expected = float(mpmath.mpf(25.0) ** 2 * mpmath.mpf(0.1) ** (2 / a) * unit)
+    assert interference_integral(params(alpha=alpha)) == pytest.approx(expected, rel=1e-15,
+                                                                        abs=0.0)
+
+
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0])
 def test_backends_agree(alpha):
     p = params(alpha=alpha)
